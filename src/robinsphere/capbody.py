@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
@@ -108,12 +109,18 @@ def octant_fixture() -> CapBody:
 #
 # Inner parallels reuse the poles of the parent body, so the circle frames
 # and all pairwise scalar products are cached keyed by the pole matrix.
+#
+# Cap j restricts circle i to A_ij cos(theta - t0_ij) >= c_ij with
+#     A_ij = sin(rho_i) |(U_ij, V_ij)|,  t0_ij = atan2(V_ij, U_ij),
+#     c_ij = cos(rho_j) - cos(rho_i) G_ij,
+# so only A and c depend on the radii. Pair tables are stored as (k, k-1)
+# arrays whose row i lists the other caps j != i in increasing order.
 
 _TABLE_CACHE: dict = {}
 
 
 class _PoleTables:
-    __slots__ = ("frames", "G", "U", "V", "k")
+    __slots__ = ("frames", "k", "others", "sources", "G", "U", "V", "H", "t0")
 
     def __init__(self, poles: np.ndarray):
         k = len(poles)
@@ -127,9 +134,17 @@ class _PoleTables:
             vs[i] = np.cross(poles[i], us[i])
         self.k = k
         self.frames = [(us[i], vs[i], poles[i]) for i in range(k)]
-        self.G = (poles @ poles.T).tolist()
-        self.U = (us @ poles.T).tolist()
-        self.V = (vs @ poles.T).tolist()
+        self.others = np.array(
+            [[j for j in range(k) if j != i] for i in range(k)], dtype=np.intp
+        ).reshape(k, k - 1)
+        rows = np.arange(k)[:, None]
+        self.G = (poles @ poles.T)[rows, self.others]
+        self.U = (us @ poles.T)[rows, self.others]
+        self.V = (vs @ poles.T)[rows, self.others]
+        self.H = np.hypot(self.U, self.V)
+        self.t0 = np.arctan2(self.V, self.U)
+        # source cap of each crossing slot: the t0 - delta crossings, then t0 + delta
+        self.sources = np.concatenate([self.others, self.others], axis=1)
 
 
 def _tables(body: CapBody) -> _PoleTables:
@@ -231,139 +246,198 @@ class BoundaryStructure:
         )
 
 
-def _feasible_arcs_on_circle(radii, i: int, tab: _PoleTables):
-    """Feasible theta-set of circle i against all other caps.
+class _ArcBlock(NamedTuple):
+    """Feasible boundary arcs of every cap circle for a block of T radius rows.
 
-    Returns (arcs, full) where arcs is a list of
-    (theta_start, theta_end, start_source, end_source), theta_end > theta_start.
+    Circle i of a row has ``counts`` crossings, sorted in ``events``; the
+    slots after them hold inf. Segment s runs from crossing s to the next
+    one, wrapping past 2 pi after the last.
     """
-    k = tab.k
-    rho_i = radii[i]
-    si, ci = math.sin(rho_i), math.cos(rho_i)
-    Gi, Ui, Vi = tab.G[i], tab.U[i], tab.V[i]
 
-    # each other cap j restricts theta through A cos(theta - t0) >= c
-    coeffs = []  # (j, A, t0, c)
-    for j in range(k):
-        if j == i:
-            continue
-        a = si * Ui[j]
-        b = si * Vi[j]
-        c = math.cos(radii[j]) - ci * Gi[j]
-        A = math.hypot(a, b)
-        if A <= 1e-13:
-            if abs(c) <= _TANGENCY_TOL:
-                raise DegenerateGeometryError(
-                    f"caps {i} and {j} have coincident boundary circles"
-                )
-            if c > 0.0:
-                return [], False  # circle i entirely outside cap j
-            continue
-        r = c / A
-        if abs(abs(r) - 1.0) <= _TANGENCY_TOL:
-            raise DegenerateGeometryError(
-                f"circle of cap {i} is tangent to the boundary of cap {j}"
-            )
-        if r > 1.0:
-            return [], False
-        if r < -1.0:
-            continue  # never binds
-        coeffs.append((j, A, math.atan2(b, a), c))
+    events: np.ndarray  # (T, k, S) crossing angles in [0, 2 pi), S = 2 (k - 1)
+    sources: np.ndarray  # (T, k, S) cap whose boundary makes each crossing
+    counts: np.ndarray  # (T, k)
+    seg_ok: np.ndarray  # (T, k, S) segment s is feasible
+    full: np.ndarray  # (T, k) circle lies wholly on the boundary
+    perimeters: np.ndarray  # (T,) sum over circles of sin(rho_i) * feasible width
 
-    if not coeffs:
-        return [(0.0, TWO_PI, None, None)], True
 
-    def feasible(theta: float) -> bool:
-        for _, A, t0, c in coeffs:
-            if A * math.cos(theta - t0) < c - _FEAS_TOL:
-                return False
-        return True
+# Elements of one (T, k, S) kernel temporary (128 kB of float64); a block
+# holds about eight of them at once.
+_BLOCK_ELEMS = 1 << 14
 
-    # candidate switch angles: the two crossings of each binding constraint
-    events = []  # (theta in [0, 2pi), source j)
-    for j, A, t0, c in coeffs:
-        delta = math.acos(_clamp(c / A))
-        events.append(((t0 - delta) % TWO_PI, j))
-        events.append(((t0 + delta) % TWO_PI, j))
-    events.sort()
-    for (ta, ja), (tb, jb) in zip(events, events[1:]):
-        if tb - ta < 1e-12:
-            raise DegenerateGeometryError(
-                f"caps {ja} and {jb} cross the circle of cap {i} at the same point"
-            )
 
-    m = len(events)
-    seg_ok = []
-    for kk in range(m):
-        ta = events[kk][0]
-        tb = events[(kk + 1) % m][0] + (TWO_PI if kk + 1 == m else 0.0)
-        seg_ok.append(feasible(0.5 * (ta + tb)))
+def _block_rows(k: int) -> int:
+    """Rows of a kernel block for k caps."""
+    return max(1, _BLOCK_ELEMS // (2 * k * k))
 
-    if all(seg_ok):
-        raise DegenerateGeometryError(
-            f"circle of cap {i} touches another cap boundary tangentially"
+
+def _arc_block(tab: _PoleTables, radii: np.ndarray) -> _ArcBlock:
+    """Feasible arcs of every circle for each row of a (T, k) block of radii.
+
+    Row r is the body with the poles of ``tab`` and the radii ``radii[r]``.
+    Each cap j that binds on circle i cuts it at t0_ij -/+ delta_ij; the
+    crossings are sorted, and a segment between consecutive crossings is
+    feasible when its midpoint satisfies every binding cap to _FEAS_TOL.
+
+    The first invalid or measure-zero row raises. Its error comes from the
+    first failing check: the radius range, then circle by circle (coincident
+    or tangent circles, crossings closer than 1e-12, a circle touched
+    tangentially), then an empty body or a full circle next to other arcs.
+    """
+    k = radii.shape[1]
+    S = 2 * (k - 1)
+    slot = np.arange(S)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sin_r, cos_r = np.sin(radii), np.cos(radii)
+        A = sin_r[:, :, None] * tab.H  # (T, k, k-1)
+        c = cos_r[:, tab.others] - cos_r[:, :, None] * tab.G
+        small = A <= 1e-13
+        ratio = c / A
+        coincident = small & (np.abs(c) <= _TANGENCY_TOL)
+        tangent = ~small & (np.abs(np.abs(ratio) - 1.0) <= _TANGENCY_TOL)
+        bind = ~small & (np.abs(ratio) <= 1.0)
+        # The first cap, in index order, that rejects the geometry or keeps
+        # the whole circle out of the body decides the circle's fate.
+        terminal = coincident | tangent | np.where(small, c > 0.0, ratio > 1.0)
+        lead = terminal & (np.cumsum(terminal, axis=-1) == 1)
+        rejected = (lead & (coincident | tangent)).any(axis=-1)
+        live = ~terminal.any(axis=-1)
+
+        delta = np.arccos(np.clip(ratio, -1.0, 1.0))
+        events = np.concatenate([tab.t0 - delta, tab.t0 + delta], axis=-1) % TWO_PI
+        events[~np.concatenate([bind, bind], axis=-1)] = np.inf
+        order = np.argsort(events, axis=-1)
+        events.sort(axis=-1)
+        sources = tab.sources[np.arange(k)[:, None], order]
+        counts = 2 * np.count_nonzero(bind, axis=-1)
+
+        nxt = np.concatenate([events[..., 1:], events[..., :1]], axis=-1)
+        nxt[slot >= counts[..., None] - 1] = np.inf
+        nxt = np.where(slot == counts[..., None] - 1, events[..., :1] + TWO_PI, nxt)
+        widths = nxt - events  # inf - inf = nan past the last crossing
+        close = widths < 1e-12
+        close_any = live & close.any(axis=-1)
+        live &= ~close_any
+
+        mid = 0.5 * (events + nxt)
+        cos_m, sin_m = np.cos(mid), np.sin(mid)
+        # A cos(theta - t0) = sin(rho_i) (U cos(theta) + V sin(theta))
+        a = sin_r[:, :, None] * tab.U
+        b = sin_r[:, :, None] * tab.V
+        floor = np.where(bind, c - _FEAS_TOL, -np.inf)
+        short = np.zeros(mid.shape, dtype=bool)
+        for j in range(k - 1):
+            short |= a[..., j, None] * cos_m + b[..., j, None] * sin_m < floor[..., j, None]
+        seg_ok = ~short & (slot < counts[..., None]) & live[..., None]
+
+        n_ok = np.count_nonzero(seg_ok, axis=-1)
+        full = live & (counts == 0)
+        touch = live & (counts > 0) & (n_ok == counts)
+        n_present = np.count_nonzero(full | (n_ok > 0), axis=-1)
+        bad_radius = ~((radii > 0.0) & (radii <= HALF_PI)).all(axis=-1)
+        circle_error = rejected | close_any | touch
+        flagged = (
+            bad_radius
+            | circle_error.any(axis=-1)
+            | (n_present == 0)
+            | (full.any(axis=-1) & (n_present > 1))
         )
-    if not any(seg_ok):
-        return [], False
+        if flagged.any():
+            r = int(np.argmax(flagged))
+            if bad_radius[r]:
+                rho = radii[r][(radii[r] <= 0.0) | (radii[r] > HALF_PI)][0]
+                raise GeometryError(f"cap radius {rho} outside (0, pi/2]")
+            failing = np.nonzero(circle_error[r])[0]
+            if len(failing):
+                i = int(failing[0])
+                if rejected[r, i]:
+                    pos = int(np.argmax(lead[r, i]))
+                    j = int(tab.others[i, pos])
+                    if coincident[r, i, pos]:
+                        raise DegenerateGeometryError(
+                            f"caps {i} and {j} have coincident boundary circles"
+                        )
+                    raise DegenerateGeometryError(
+                        f"circle of cap {i} is tangent to the boundary of cap {j}"
+                    )
+                if close_any[r, i]:
+                    s = int(np.argmax(close[r, i]))
+                    ja = sources[r, i, s]
+                    jb = sources[r, i, (s + 1) % counts[r, i]]
+                    raise DegenerateGeometryError(
+                        f"caps {ja} and {jb} cross the circle of cap {i} at the same point"
+                    )
+                raise DegenerateGeometryError(
+                    f"circle of cap {i} touches another cap boundary tangentially"
+                )
+            if n_present[r] == 0:
+                raise EmptyInteriorError("no boundary arcs: the cap intersection is empty")
+            raise DegenerateGeometryError(
+                "a full boundary circle coexists with other boundary arcs"
+            )
 
-    # maximal runs of feasible segments (circular), starting from a gap
-    arcs = []
-    k0 = next(kk for kk in range(m) if not seg_ok[kk])
-    run_start = None
-    for step in range(m):
-        kk = (k0 + step) % m
-        if seg_ok[kk] and run_start is None:
-            run_start = kk
-        if run_start is not None and not seg_ok[(kk + 1) % m]:
-            start_ev = events[run_start]
-            end_ev = events[(kk + 1) % m]
-            ts = start_ev[0]
-            te = end_ev[0]
-            if te <= ts:
-                te += TWO_PI
-            arcs.append((ts, te, start_ev[1], end_ev[1]))
-            run_start = None
-    return arcs, False
+        arc_width = np.where(full, TWO_PI, np.where(seg_ok, widths, 0.0).sum(axis=-1))
+    return _ArcBlock(events, sources, counts, seg_ok, full, (sin_r * arc_width).sum(axis=-1))
 
 
 def _raw_arcs(body: CapBody):
     """All feasible boundary arcs plus the full-circle flag.
 
-    Raises EmptyInteriorError when no circle carries feasible points: the
-    boundary of a nonempty body always meets some cap circle.
+    Each circle's arcs are the maximal circular runs of feasible segments,
+    listed from the first infeasible segment on.
     """
     tab = _tables(body)
     radii = body.radii.tolist()
+    blk = _arc_block(tab, body.radii[None, :])
     raw: list[BoundaryArc] = []
-    fulls: list[BoundaryArc] = []
     for i in range(tab.k):
-        arcs, full = _feasible_arcs_on_circle(radii, i, tab)
         srho = math.sin(radii[i])
         kg = math.cos(radii[i]) / srho
-        for ts, te, js, je in arcs:
-            if te - ts < 1e-12:
-                raise DegenerateGeometryError(
-                    f"degenerate zero-width boundary arc on cap {i}"
+        if blk.full[0, i]:
+            raw.append(BoundaryArc(i, 0.0, TWO_PI, None, None, srho * TWO_PI, kg))
+            continue
+        m = int(blk.counts[0, i])
+        ok = blk.seg_ok[0, i, :m].tolist()
+        if not any(ok):
+            continue
+        events = blk.events[0, i, :m].tolist()
+        sources = blk.sources[0, i, :m].tolist()
+        k0 = ok.index(False)
+        run_start = None
+        for step in range(m):
+            s = (k0 + step) % m
+            if ok[s] and run_start is None:
+                run_start = s
+            if run_start is not None and not ok[(s + 1) % m]:
+                end = (s + 1) % m
+                ts, te = events[run_start], events[end]
+                if te <= ts:
+                    te += TWO_PI
+                raw.append(
+                    BoundaryArc(i, ts, te, sources[run_start], sources[end], srho * (te - ts), kg)
                 )
-            arc = BoundaryArc(
-                cap=i,
-                theta_start=ts,
-                theta_end=te,
-                start_source=js,
-                end_source=je,
-                length=srho * (te - ts),
-                geodesic_curvature=kg,
-            )
-            raw.append(arc)
-            if full:
-                fulls.append(arc)
-    if not raw:
-        raise EmptyInteriorError("no boundary arcs: the cap intersection is empty")
-    if fulls and len(raw) > 1:
-        raise DegenerateGeometryError(
-            "a full boundary circle coexists with other boundary arcs"
-        )
-    return raw, tab, bool(fulls)
+                run_start = None
+    return raw, tab, bool(blk.full.any())
+
+
+def inner_parallel_perimeters(body: CapBody, ts) -> np.ndarray:
+    """Perimeters of the inner parallel sets body_t for every t in ``ts``.
+
+    Equals perimeter(inner_parallel(body, t)) for each t, to rounding, from one
+    batched pass of the arc kernel over blocks of t. Raises the error of the
+    first t at which that call would fail.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not np.all(ts >= 0.0):
+        raise GeometryError("parallel distances must be nonnegative")
+    radii = body.radii[None, :] - ts[:, None]
+    tab = _tables(body)
+    step = _block_rows(tab.k)
+    out = np.empty(len(ts))
+    for lo in range(0, len(ts), step):
+        out[lo:lo + step] = _arc_block(tab, radii[lo:lo + step]).perimeters
+    return out
 
 
 def boundary_structure(body: CapBody) -> BoundaryStructure:
@@ -430,8 +504,7 @@ def perimeter(body: CapBody, structure: BoundaryStructure | None = None) -> floa
     """Boundary length: sum over arcs of sin(rho_i) * width."""
     if structure is not None:
         return sum(arc.length for arc in structure.arcs)
-    raw, _, _ = _raw_arcs(body)
-    return sum(arc.length for arc in raw)
+    return float(_arc_block(_tables(body), body.radii[None, :]).perimeters[0])
 
 
 def area(body: CapBody, structure: BoundaryStructure | None = None) -> float:
@@ -498,14 +571,31 @@ def _triple_incenter(poles, radii, idx):
     return _unit(x)
 
 
+# Bodies are frozen and hashable; the pipelines ask for the incenter of the
+# same body several times (generation, profile, FEM mesh).
+_INCENTER_CACHE: dict = {}
+
+
 def incenter_and_inradius(body: CapBody) -> tuple[np.ndarray, float]:
     """Deepest interior point and its boundary distance.
 
     The slack function f(p) = min_i (rho_i - d(p, pole_i)) is concave on the
     body, so its maximum is attained with one, two, or three active caps;
     all candidate configurations are enumerated in closed form (pairs) or by
-    Newton (triples), with a Nelder-Mead polish as a safety net.
+    Newton (triples), with a Nelder-Mead polish as a safety net. Results are
+    cached per body; each call returns its own copy of the point.
     """
+    hit = _INCENTER_CACHE.get(body)
+    if hit is None:
+        hit = _solve_incenter(body)
+        if len(_INCENTER_CACHE) > 256:
+            _INCENTER_CACHE.clear()
+        _INCENTER_CACHE[body] = hit
+    point, rin = hit
+    return point.copy(), rin
+
+
+def _solve_incenter(body: CapBody) -> tuple[np.ndarray, float]:
     poles = body.poles
     radii = body.radii
     k = len(radii)

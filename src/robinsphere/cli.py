@@ -18,6 +18,8 @@ failed, 2 invalid input or geometry.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import re
@@ -52,11 +54,12 @@ EXIT_INPUT_ERROR = 2
 
 
 def parse_beta(text: str) -> float:
-    """Accept plain floats and the closed-form family syntax tan(x)."""
+    """Accept finite plain floats and the closed-form family syntax tan(x)."""
     m = re.fullmatch(r"\s*tan\(([^)]+)\)\s*", text)
-    if m:
-        return math.tan(float(m.group(1)))
-    return float(text)
+    beta = math.tan(float(m.group(1))) if m else float(text)
+    if not math.isfinite(beta):
+        raise GeometryError(f"beta must be finite, got {text!r}")
+    return beta
 
 
 def _parse_betas(text: str) -> list[float]:
@@ -93,8 +96,8 @@ def _write(path: str | None, text: str) -> None:
 def _emit_reports(args, reports: list[VerificationReport], rows: list[dict]) -> int:
     payload = reports_to_json(reports)
     _write(getattr(args, "json", None), payload)
-    if getattr(args, "csv", None):
-        _write(args.csv, rows_to_csv(rows))
+    if rows:
+        _write(getattr(args, "csv", None), rows_to_csv(rows))
     overall = all(r.overall for r in reports)
     for r in reports:
         status = "PASS" if r.overall else "FAIL"
@@ -206,18 +209,18 @@ def cmd_verify_thm2(args) -> int:
 
 def cmd_profile(args) -> int:
     bodies = _load_bodies(args)
-    reports, rows = [], []
+    reports = []
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["body_id", "t", "perimeter"])
     for name, body in bodies:
         prof = perimeter_profile(body, args.k)
         rep = ode_inequality_check(prof)
         rep.name = f"perimeter-ode[{name}]"
         reports.append(rep)
-        if args.out:
-            lines = ["t,perimeter"]
-            for t, p in zip(prof.ts, prof.ps):
-                lines.append(f"{t!r},{p!r}")
-            _write(args.out, "\n".join(lines) + "\n")
-    return _emit_reports(args, reports, rows)
+        writer.writerows((name, repr(float(t)), repr(float(p))) for t, p in zip(prof.ts, prof.ps))
+    _write(args.out, buf.getvalue())
+    return _emit_reports(args, reports, [])
 
 
 def cmd_steiner_check(args) -> int:
@@ -327,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="perimeter profile and differential inequality")
     _add_body_source(p)
     p.add_argument("--k", type=int, default=512)
-    p.add_argument("--out", help="CSV of the profile")
+    p.add_argument("--out", help="CSV of the profiles: body_id,t,perimeter")
     p.add_argument("--json", help="write the JSON report here")
-    p.add_argument("--csv", help="(unused columns placeholder)")
+    p.add_argument("--csv", help="accepted for config compatibility; profile has no CSV rows")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("steiner-check", help="Steiner closure on a body")

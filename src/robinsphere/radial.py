@@ -40,6 +40,10 @@ class RobinBallProblem:
     def __post_init__(self):
         if self.dim < 2:
             raise GeometryError(f"dim must be >= 2, got {self.dim}")
+        # a non-finite beta never changes the sign of the boundary residual,
+        # so the bracket scan would run to its limit
+        if not math.isfinite(self.beta):
+            raise GeometryError(f"beta must be finite, got {self.beta}")
         if not 0.0 < self.radius <= HALF_PI:
             raise GeometryError(
                 f"radius {self.radius} outside (0, pi/2]: strong-convexity violation"

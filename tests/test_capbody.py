@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
+from robinsphere import capbody
 from robinsphere.capbody import (
     CapBody,
     CapConstraint,
@@ -16,6 +20,7 @@ from robinsphere.capbody import (
     hemisphere_witness,
     incenter_and_inradius,
     inner_parallel,
+    inner_parallel_perimeters,
     inradius,
     loads_body,
     make_body,
@@ -378,3 +383,227 @@ def test_loads_rejects_malformed():
         loads_body("0 0 1\n")
     with pytest.raises(GeometryError):
         loads_body("")
+
+
+def test_incenter_cache_returns_copies(small_corpus):
+    body = small_corpus[3][1]
+    p1, r1 = incenter_and_inradius(body)
+    p1[:] = 0.0
+    p2, r2 = incenter_and_inradius(body)
+    assert r1 == r2
+    assert np.linalg.norm(p2) == pytest.approx(1.0, abs=1e-12)
+    assert contains(body, p2)
+
+
+# --- batched arc kernel -----------------------------------------------------
+
+
+def scalar_perimeter(body):
+    """The arc kernel written as plain loops over circles and caps.
+
+    Same crossings, midpoint tests and rejections as the batched kernel, one
+    circle and one cap at a time; used as its reference.
+    """
+    poles, radii = body.poles, body.radii.tolist()
+    frames = capbody._tables(body).frames
+    total, arcs, full = 0.0, 0, False
+    for i, (u, v, n) in enumerate(frames):
+        si, ci = math.sin(radii[i]), math.cos(radii[i])
+        coeffs, outside = [], False
+        for j in range(len(radii)):
+            if j == i:
+                continue
+            a, b = si * float(u @ poles[j]), si * float(v @ poles[j])
+            c = math.cos(radii[j]) - ci * float(n @ poles[j])
+            A = math.hypot(a, b)
+            if A <= 1e-13:
+                if abs(c) <= capbody._TANGENCY_TOL:
+                    raise DegenerateGeometryError("coincident boundary circles")
+                if c > 0.0:
+                    outside = True
+                    break
+                continue
+            r = c / A
+            if abs(abs(r) - 1.0) <= capbody._TANGENCY_TOL:
+                raise DegenerateGeometryError("tangent circles")
+            if r > 1.0:
+                outside = True
+                break
+            if r >= -1.0:
+                coeffs.append((A, math.atan2(b, a), c))
+        if outside:
+            continue
+        if not coeffs:
+            total, arcs, full = total + 2 * math.pi * si, arcs + 1, True
+            continue
+        events = sorted(
+            (t0 + sign * math.acos(c / A)) % (2 * math.pi)
+            for A, t0, c in coeffs
+            for sign in (-1.0, 1.0)
+        )
+        ends = events[1:] + [events[0] + 2 * math.pi]
+        if any(tb - ta < 1e-12 for ta, tb in zip(events, ends)):
+            raise DegenerateGeometryError("crossings at the same point")
+        ok = [
+            all(A * math.cos(0.5 * (ta + tb) - t0) >= c - capbody._FEAS_TOL for A, t0, c in coeffs)
+            for ta, tb in zip(events, ends)
+        ]
+        if all(ok):
+            raise DegenerateGeometryError("circle touched tangentially")
+        total += si * sum(tb - ta for ta, tb, good in zip(events, ends, ok) if good)
+        arcs += sum(1 for s in range(len(ok)) if ok[s] and not ok[s - 1])
+    if arcs == 0:
+        raise EmptyInteriorError("empty body")
+    if full and arcs > 1:
+        raise DegenerateGeometryError("full circle next to other arcs")
+    return total
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type of the GeometryError it raises."""
+    try:
+        return fn(*args)
+    except GeometryError as exc:
+        return type(exc)
+
+
+def near_north(draw, spread):
+    ang = draw(st.floats(0.0, spread))
+    azi = draw(st.floats(0.0, 2 * math.pi))
+    return [math.sin(ang) * math.cos(azi), math.sin(ang) * math.sin(azi), math.cos(ang)]
+
+
+@st.composite
+def cap_sets(draw):
+    k = draw(st.integers(1, 8))
+    poles = [near_north(draw, 0.8) for _ in range(k)]
+    radii = [draw(st.floats(0.2, math.pi / 2)) for _ in range(k)]
+    return make_body(poles, radii)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cap_sets())
+def test_kernel_matches_scalar_reference(body):
+    """Arbitrary cap sets, accepted or rejected, including empty and redundant caps."""
+    ref = outcome(scalar_perimeter, body)
+    got = outcome(perimeter, body)
+    if isinstance(ref, float):
+        assert got == pytest.approx(ref, abs=1e-12)
+    else:
+        assert got is ref
+
+
+def test_kernel_matches_scalar_reference_on_corpus_profiles(octant, small_corpus):
+    for _, body in [("octant", octant), ("cap", cap_fixture(0.9)), *small_corpus]:
+        ts = np.linspace(0.0, 0.99 * inradius(body), 33)
+        got = inner_parallel_perimeters(body, ts)
+        ref = [scalar_perimeter(inner_parallel(body, float(t))) for t in ts]
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def at(azimuth_deg, dist):
+    a = math.radians(azimuth_deg)
+    return [math.sin(dist) * math.cos(a), math.sin(dist) * math.sin(a), math.cos(dist)]
+
+
+T_VANISH = 0.2
+
+
+def vanishing_edge_body():
+    """Caps 0, 1, 2 all pass through the north pole at t = T_VANISH.
+
+    The edge on cap 2 lies between those on caps 0 and 1 and shrinks to that
+    point; cap 3 closes the body.
+    """
+    return make_body(
+        [at(0, 0.6), at(100, 0.6), at(50, 0.6), at(230, 0.6)],
+        [0.6 + T_VANISH] * 3 + [0.9 + T_VANISH],
+    )
+
+
+def test_kernel_rejects_like_per_t_oracle_where_an_edge_vanishes():
+    body = vanishing_edge_body()
+    assert len(boundary_structure(inner_parallel(body, 0.199)).arcs) == 4
+    assert len(boundary_structure(inner_parallel(body, 0.21)).arcs) == 3
+    expected = outcome(perimeter, inner_parallel(body, T_VANISH))
+    assert expected is DegenerateGeometryError
+    assert outcome(scalar_perimeter, inner_parallel(body, T_VANISH)) is expected
+    # the flagged distance is the last one, three kernel blocks in
+    ts = np.linspace(0.0, T_VANISH, 2 * capbody._block_rows(4) + 2)
+    assert outcome(inner_parallel_perimeters, body, ts) is expected
+    assert outcome(inner_parallel_perimeters, body, [0.0, T_VANISH, 0.21]) is expected
+    ps = inner_parallel_perimeters(body, ts[:-1])
+    oracle = [perimeter(inner_parallel(body, float(t))) for t in ts[:-1:50]]
+    assert np.max(np.abs(ps[::50] - oracle)) <= 1e-13
+
+
+def test_kernel_rejects_like_per_t_oracle_for_internally_tangent_circles():
+    # cap 1 lies inside cap 0 and touches its boundary circle; inner parallels
+    # shrink both radii equally, so the tangency persists for every t
+    body = make_body([at(0, 0.0), at(0, 0.3)], [0.8, 0.5])
+    for t in (0.0, 0.2):
+        expected = outcome(perimeter, inner_parallel(body, t))
+        assert expected is DegenerateGeometryError
+        assert outcome(scalar_perimeter, inner_parallel(body, t)) is expected
+        assert outcome(inner_parallel_perimeters, body, [t]) is expected
+
+
+def test_inner_parallel_perimeters_validates_distances(octant):
+    with pytest.raises(GeometryError):
+        inner_parallel_perimeters(octant, [0.0, -0.1])
+    with pytest.raises(EmptyInteriorError):
+        inner_parallel_perimeters(octant, [0.0, inradius(octant) + 0.05])
+
+
+# --- invariances of the batched profile ---------------------------------------
+
+INVARIANCE_SEEDS = st.integers(1, 30)
+
+
+def corpus_body(seed):
+    return random_body(seed, 3 + (seed - 1) % 6)
+
+
+def shared_grid(body):
+    return np.linspace(0.0, 0.99 * inradius(body), 129)
+
+
+@settings(max_examples=20, deadline=None)
+@given(INVARIANCE_SEEDS, st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3))
+def test_profile_invariant_under_rotation(seed, rotvec):
+    body = corpus_body(seed)
+    rot = Rotation.from_rotvec(rotvec).as_matrix()
+    turned = make_body(body.poles @ rot.T, body.radii)
+    ts = shared_grid(body)
+    diff = inner_parallel_perimeters(turned, ts) - inner_parallel_perimeters(body, ts)
+    assert np.max(np.abs(diff)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(INVARIANCE_SEEDS, st.data())
+def test_profile_invariant_under_cap_permutation(seed, data):
+    body = corpus_body(seed)
+    perm = data.draw(st.permutations(range(len(body.constraints))))
+    shuffled = CapBody(tuple(body.constraints[i] for i in perm))
+    ts = shared_grid(body)
+    diff = inner_parallel_perimeters(shuffled, ts) - inner_parallel_perimeters(body, ts)
+    assert np.max(np.abs(diff)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(INVARIANCE_SEEDS, st.data())
+def test_profile_invariant_under_redundant_cap(seed, data):
+    body = corpus_body(seed)
+    center, _ = incenter_and_inradius(body)
+    reach = float(np.max(np.arccos(np.clip(sample_boundary(body, 2000) @ center, -1.0, 1.0))))
+    margin = data.draw(st.floats(0.05, 0.3))
+    assume(reach + margin <= math.pi / 2)
+    # the cap about the incenter holds the body with that margin, and every
+    # inner parallel of the body inside the same inner parallel of the cap
+    spot = data.draw(st.integers(0, len(body.constraints)))
+    extra = CapConstraint(tuple(float(x) for x in center), reach + margin)
+    caps = list(body.constraints)
+    caps.insert(spot, extra)
+    ts = shared_grid(body)
+    diff = inner_parallel_perimeters(CapBody(tuple(caps)), ts) - inner_parallel_perimeters(body, ts)
+    assert np.max(np.abs(diff)) <= 1e-12

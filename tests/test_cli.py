@@ -11,6 +11,21 @@ from robinsphere.report import CSV_COLUMNS, VerificationReport
 def test_parse_beta():
     assert parse_beta("-1.5") == -1.5
     assert parse_beta("tan(0.8)") == pytest.approx(math.tan(0.8))
+    # tan(pi/2) is about 1.6e16 in floating point: finite, so accepted
+    assert parse_beta(f"tan({math.pi / 2!r})") == math.tan(math.pi / 2)
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "tan(nan)"])
+def test_ball_eig_non_finite_beta_is_input_error(beta, capsys):
+    # the bracket scan never sees a sign change for these and used to hang
+    assert main(["ball-eig", "--r", "1.0", f"--beta={beta}"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_ball_eig_non_finite_radius_is_input_error(radius, capsys):
+    assert main(["ball-eig", "--r", radius, "--beta", "-1"]) == 2
+    assert "radius" in capsys.readouterr().err
 
 
 def test_ball_eig_neumann(capsys):
@@ -94,8 +109,25 @@ def test_profile_writes_csv(tmp_path):
     code = main(["profile", "--fixture", "cap:0.9", "--k", "128", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "t,perimeter"
+    assert lines[0] == "body_id,t,perimeter"
     assert len(lines) == 130
+    assert lines[1] == f"cap:0.9,0.0,{2 * math.pi * math.sin(0.9)!r}"
+
+
+def test_profile_csv_keeps_every_body(tmp_path):
+    out = tmp_path / "profile.csv"
+    assert main(["profile", "--random", "1", "2", "--k", "64", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert rows[0] == ["body_id", "t", "perimeter"]
+    ids = [row[0] for row in rows[1:]]
+    assert ids == ["random-001-k3"] * 65 + ["random-002-k4"] * 65
+
+
+@pytest.mark.parametrize("command", ["profile", "steiner-check", "af-check"])
+def test_commands_without_rows_write_no_csv(command, tmp_path):
+    out = tmp_path / "table.csv"
+    assert main([command, "--fixture", "octant", "--csv", str(out)]) == 0
+    assert not out.exists()
 
 
 def test_steiner_and_af_checks():

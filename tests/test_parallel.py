@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robinsphere.capbody import cap_fixture, perimeter
+from robinsphere.capbody import cap_fixture, corpus_bodies, inner_parallel, perimeter
 from robinsphere.errors import GeometryError
 from robinsphere.parallel import (
     comparison_solve,
@@ -39,6 +39,18 @@ def test_profile_octant(octant):
     assert prof.ps[0] == pytest.approx(3 * math.pi / 2, abs=1e-12)
     assert all(b < a for a, b in zip(prof.ps, prof.ps[1:]))
     assert prof.ps[-1] < 0.05 * prof.ps[0]
+
+
+def test_profile_matches_per_t_oracle_at_every_node(octant):
+    """The batched profile against one perimeter(inner_parallel(body, t)) per node."""
+    bodies = [("octant", octant), ("cap-0.9", cap_fixture(0.9)), *corpus_bodies(50)]
+    for name, body in bodies:
+        prof = perimeter_profile(body, K=512)
+        oracle = [
+            perimeter(inner_parallel(body, float(t), inradius_hint=prof.inradius))
+            for t in prof.ts
+        ]
+        assert np.max(np.abs(prof.ps - oracle)) <= 1e-13, name
 
 
 # --- differential inequality ------------------------------------------------

@@ -16,6 +16,9 @@ def test_problem_validation():
         RobinBallProblem(1, 0.5, 0.0)
     with pytest.raises(GeometryError):
         RobinBallProblem(2, 2.0, 0.0)
+    for radius, beta in ((1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (math.nan, -1.0)):
+        with pytest.raises(GeometryError):
+            RobinBallProblem(2, radius, beta)
 
 
 def test_shoot_constant_solution_at_zero():
