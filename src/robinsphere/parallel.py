@@ -328,6 +328,11 @@ def thm1_verify(
             "beta": beta,
             "rq": res.rq,
             "lambda_ball": res.lambda_ball,
+            # how lambda_ball was found; the gap compares the collocation
+            # estimate with the RK4 shooting root
+            "lambda_ball_shoots": res.eigenpair.shoots,
+            "lambda_ball_spectral": res.eigenpair.lambda_spectral,
+            "lambda_ball_discretization_gap": abs(res.eigenpair.lambda_spectral - res.lambda_ball),
             "ball_radius": res.ball_radius,
             "body_perimeter": res.body_perimeter,
             "body_area": res.body_area,

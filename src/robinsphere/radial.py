@@ -1,12 +1,15 @@
-"""First Robin eigenvalue of a geodesic ball in S^n by shooting.
+"""First Robin eigenvalue of a geodesic ball in S^n.
 
 The radial reduction is the initial value problem
 
     psi'' + (n-1) cot(r) psi' + lambda psi = 0,   psi(0) = 1, psi'(0) = 0,
 
-with boundary residual F(lambda) = psi'(R) + beta psi(R). Eigenvalues are
-the roots of F; the first one is the smallest root, bracketed by a unit-step
-scan from lambda = 0 and refined by bisection.
+with boundary residual F(lambda) = psi'(R) + beta psi(R), evaluated by RK4
+shooting on a fixed grid. Eigenvalues are the roots of F. The first one is
+located in two stages: a Chebyshev collocation of the same problem gives an
+estimate and the spectral gap, and a bracket grown around the estimate, never
+wider than the gap, is polished to the root of F by Brent's method. lambda = 0
+solves the Neumann case exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import trapezoid
+from scipy.linalg import eigvals
+from scipy.optimize import brentq
 
 from robinsphere.errors import GeometryError, SolverError
 from robinsphere.spaceform import HALF_PI, sigma
@@ -22,11 +28,26 @@ from robinsphere.spaceform import HALF_PI, sigma
 # Taylor start offset past the cot(r) singularity; series error is O(eps^4).
 _SERIES_EPS = 1e-6
 
-_LAMBDA_LIMIT = 1.0e6
 _SATURATION = 1e150
 
+# Chebyshev collocation size of the estimate. For |beta| <= 20 (n = 2, 3 and
+# R from 0.1 to pi/2) it is within 7e-10 (1 + |lambda|) of the RK4 root, so
+# the first bracket below holds the root.
+# It under-resolves the boundary layer of width ~1/|beta|: at beta = -100 it
+# is 3.7e-5 (R = 1) to 1.6e-3 (R = pi/2) relative off, while the RK4 root moves
+# by at most 4e-12 relative from 4096 to 16384 steps. The bracket growth
+# covers that distance in a few shoots.
+_CHEB_N = 32
+# The bracket starts at lambda_0 +- _BRACKET_START (1 + |lambda_0|) and grows
+# by _BRACKET_GROWTH on the side where the root lies.
+_BRACKET_START = 1e-9
+_BRACKET_GROWTH = 8.0
+
 # cot tables keyed by (R, steps); the integration grid is lambda-independent.
+# A corpus body or a ball-sweep round uses one radius, and each entry holds
+# about 0.5 MB of Python floats, so only the latest few are kept.
 _COT_CACHE: dict = {}
+_COT_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -40,8 +61,7 @@ class RobinBallProblem:
     def __post_init__(self):
         if self.dim < 2:
             raise GeometryError(f"dim must be >= 2, got {self.dim}")
-        # a non-finite beta never changes the sign of the boundary residual,
-        # so the bracket scan would run to its limit
+        # a non-finite beta gives no finite boundary residual to find a root of
         if not math.isfinite(self.beta):
             raise GeometryError(f"beta must be finite, got {self.beta}")
         if not 0.0 < self.radius <= HALF_PI:
@@ -55,7 +75,11 @@ class RadialEigenpair:
     """First eigenvalue with the radial eigenfunction sampled on the solver grid.
 
     ``psi`` is normalized to psi(0) = 1 and stays positive; ``dpsi`` carries
-    the derivative samples from the same integration.
+    the derivative samples from the same integration. ``shoots`` counts the
+    boundary-residual evaluations of the bracket and the polish,
+    ``lambda_spectral`` is the collocation estimate the bracket started from
+    and ``bracket_halfwidth`` the final half-width around it; all three are 0
+    in the Neumann case, which needs no search.
     """
 
     lam: float
@@ -63,6 +87,9 @@ class RadialEigenpair:
     psi: np.ndarray
     dpsi: np.ndarray
     boundary_residual: float
+    shoots: int
+    lambda_spectral: float
+    bracket_halfwidth: float
     steps: int = 4096
 
     @property
@@ -87,8 +114,8 @@ def _grid_tables(radius: float, steps: int):
             math.cos(r + 0.5 * h) / math.sin(r + 0.5 * h) for r in rs[:-1]
         ]
         tab = (h, rs, cot_full, cot_half)
-        if len(_COT_CACHE) > 64:
-            _COT_CACHE.clear()
+        if len(_COT_CACHE) >= _COT_CACHE_SIZE:
+            del _COT_CACHE[next(iter(_COT_CACHE))]
         _COT_CACHE[key] = tab
     return tab
 
@@ -156,54 +183,94 @@ def shoot(problem: RobinBallProblem, lam: float, steps: int = 4096) -> float:
     return p + problem.beta * y
 
 
-def first_eigenvalue(
-    problem: RobinBallProblem, steps: int = 4096, tol: float = 1e-10
-) -> RadialEigenpair:
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev points x_j = cos(j pi / n) and the differentiation matrix on them.
+
+    Trefethen, Spectral Methods in MATLAB (2000), program cheb.m.
+    """
+    j = np.arange(n + 1)
+    x = np.cos(np.pi * j / n)
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    return d - np.diag(d.sum(axis=1)), x
+
+
+def _spectral_estimate(problem: RobinBallProblem) -> tuple[float, float]:
+    """The two smallest eigenvalues of a Chebyshev collocation of the radial problem.
+
+    Collocates sin r psi'' + (n-1) cos r psi' = -lambda sin r psi at _CHEB_N + 1
+    Chebyshev points of [0, R]. The row at r = 0 is the equation itself,
+    which there reads psi'(0) = 0. The row at r = R is the Robin condition
+    psi'(R) + beta psi(R) = 0 with a zero right-hand side, scaled by
+    1 + |beta| so that beta = tan(pi/2) ~ 1.6e16 does not swamp the QZ step.
+    The two zero rows of the right-hand side give infinite eigenvalues;
+    the finite real ones are kept.
+    """
+    d, x = _chebyshev(_CHEB_N)
+    R = problem.radius
+    r = 0.5 * R * (1.0 + x)  # r[0] = R, r[-1] = 0
+    dr = (2.0 / R) * d
+    sin_r = np.sin(r)
+    a = -(sin_r[:, None] * (dr @ dr) + (problem.dim - 1) * np.cos(r)[:, None] * dr)
+    b = np.diag(sin_r)
+    a[0] = dr[0]
+    a[0, 0] += problem.beta
+    a[0] /= 1.0 + abs(problem.beta)
+    b[0, 0] = 0.0
+    ev = eigvals(a, b)
+    # LAPACK returns a real eigenvalue of a real pencil with imaginary part exactly 0
+    ev = np.sort(ev[np.isfinite(ev) & (ev.imag == 0.0)].real)
+    if len(ev) < 2:
+        raise SolverError(f"spectral estimate found {len(ev)} real eigenvalues, need 2")
+    return float(ev[0]), float(ev[1])
+
+
+def first_eigenvalue(problem: RobinBallProblem, steps: int = 4096) -> RadialEigenpair:
     """Smallest root of the boundary residual, with the eigenfunction samples.
 
-    lambda = 0 solves the Neumann case exactly. For beta < 0 the bracket is
-    expanded downward from 0 in unit steps, for beta > 0 upward; a strict
-    sign change is required before bisection.
+    lambda = 0 solves the Neumann case exactly and needs no shoot. Otherwise
+    ``_spectral_estimate`` gives lambda_0 and the next eigenvalue lambda_1. The
+    bracket lambda_0 +- d starts at d = _BRACKET_START (1 + |lambda_0|) and
+    grows by _BRACKET_GROWTH until the residual changes sign, but d never
+    exceeds (lambda_1 - lambda_0) / 2, so the bracket holds one root only.
+    Brent's method then finds the root of the same discrete residual that
+    ``shoot`` evaluates, to 1e-13, and the root is taken from below. A final
+    pass keeps the samples, and a sign change of psi rejects a misidentified
+    root.
     """
+    values: dict[float, float] = {}
 
     def f(lam: float) -> float:
-        return shoot(problem, lam, steps)
+        if lam not in values:
+            values[lam] = shoot(problem, lam, steps)
+        return values[lam]
 
-    f0 = f(0.0)
-    if f0 == 0.0:
-        lam = 0.0
+    if problem.beta == 0.0:
+        lam = lam0 = half = 0.0
     else:
-        direction = -1.0 if problem.beta < 0 else 1.0
-        lo, flo = 0.0, f0
-        lam = None
-        k = 0
-        while True:
-            k += 1
-            cand = direction * k
-            if abs(cand) > _LAMBDA_LIMIT:
+        lam0, lam1 = _spectral_estimate(problem)
+        cap = 0.5 * (lam1 - lam0)
+        half = min(_BRACKET_START * (1.0 + abs(lam0)), cap)
+        lo, hi = lam0 - half, lam0 + half
+        while f(lo) * f(hi) > 0.0:
+            if half >= cap:
                 raise SolverError(
-                    f"no eigenvalue bracket within |lambda| <= {_LAMBDA_LIMIT}"
+                    f"no sign change of the boundary residual within half the "
+                    f"spectral gap {cap!r} of the estimate {lam0!r}"
                 )
-            fc = f(cand)
-            if fc == 0.0:
-                lam = cand
-                break
-            if fc * flo < 0.0:
-                hi, fhi = cand, fc
-                break
-            lo, flo = cand, fc
-        if lam is None:
-            while abs(hi - lo) > tol:
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if fm * flo < 0.0:
-                    hi, fhi = mid, fm
-                else:
-                    lo, flo = mid, fm
-            lam = 0.5 * (lo + hi)
+            half = min(_BRACKET_GROWTH * half, cap)
+            # F > 0 below the first root and F < 0 between it and the next one,
+            # so the common sign tells on which side of the bracket the root is
+            if f(hi) > 0.0:
+                lo, hi = hi, lam0 + half
+            else:
+                lo, hi = lam0 - half, lo
+        brentq(f, lo, hi, xtol=1e-13)
+        # brentq stops with two evaluated points at most 1e-13 + 4 eps |lambda|
+        # apart around the root. Take the one below it, where F >= 0: with
+        # psi' < 0 at R for beta > 0, psi(R) = (F - psi'(R)) / beta is then
+        # positive even when it is at the rounding level (beta = tan(pi/2)).
+        lam = max(x for x, v in values.items() if v >= 0.0)
 
     y, p, samples = _integrate(problem, lam, steps, keep=True)
     rs, ys, ps = samples
@@ -216,7 +283,15 @@ def first_eigenvalue(
             "computed eigenfunction changes sign; smallest root misidentified"
         )
     return RadialEigenpair(
-        lam=lam, grid=grid, psi=psi, dpsi=dpsi, boundary_residual=residual, steps=steps
+        lam=lam,
+        grid=grid,
+        psi=psi,
+        dpsi=dpsi,
+        boundary_residual=residual,
+        shoots=len(values),
+        lambda_spectral=lam0,
+        bracket_halfwidth=half,
+        steps=steps,
     )
 
 
@@ -229,5 +304,5 @@ def u_min_and_l2(pair: RadialEigenpair, problem: RobinBallProblem) -> tuple[floa
     u_m = float(np.min(pair.psi))
     n = problem.dim
     weight = sigma(n) * np.sin(pair.grid) ** (n - 1)
-    l2sq = float(np.trapezoid(pair.psi**2 * weight, pair.grid))
+    l2sq = float(trapezoid(pair.psi**2 * weight, x=pair.grid))
     return u_m, l2sq

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from robinsphere import radial
 from robinsphere.capbody import octant_fixture, save_body
 from robinsphere.cli import main, parse_beta
 from robinsphere.report import CSV_COLUMNS, VerificationReport
@@ -45,6 +46,29 @@ def test_ball_eig_cosine_family(capsys, tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "rho,phi"
     assert len(lines) > 4000
+
+
+@pytest.mark.parametrize(
+    "r,beta,expected",
+    [
+        # the unit-step scan took about 40 s and 1e4 shoots here
+        ("1", "-100", -10064.9177028),
+        # effectively Dirichlet on the hemisphere; the unit-step scan and
+        # bisection exited 2 here ("eigenfunction changes sign")
+        (repr(math.pi / 2), f"tan({math.pi / 2!r})", 2.0),
+    ],
+)
+def test_ball_eig_extreme_beta(r, beta, expected, capsys):
+    assert main(["ball-eig", "--r", r, "--beta", beta]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.startswith("lambda = ")
+    assert float(line[len("lambda = "):]) == pytest.approx(expected, rel=1e-10, abs=1e-8)
+
+
+def test_ball_eig_no_bracket_is_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(radial, "shoot", lambda problem, lam, steps=4096: 1.0)
+    assert main(["ball-eig", "--r", "1.0", "--beta", "-1"]) == 2
+    assert "sign change" in capsys.readouterr().err
 
 
 def test_ball_eig_invalid_radius(capsys):

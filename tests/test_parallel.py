@@ -188,6 +188,14 @@ def test_thm1_octant(octant, beta):
     report = thm1_verify(octant, beta, K=2048)
     assert report.overall
     assert not report.extras["equality_case"]
+    # how lambda_ball was found: a few shoots from the collocation estimate
+    extras = report.extras
+    assert 1 <= extras["lambda_ball_shoots"] <= 10
+    assert extras["lambda_ball_discretization_gap"] == abs(
+        extras["lambda_ball_spectral"] - extras["lambda_ball"]
+    )
+    assert extras["lambda_ball_discretization_gap"] <= 1e-8 * (1.0 + abs(extras["lambda_ball"]))
+    assert thm1_verify(octant, beta, K=2048).to_json() == report.to_json()
 
 
 def test_thm2_ball_reduces_to_thm1():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from robinsphere.errors import GeometryError
+from robinsphere import radial
+from robinsphere.errors import GeometryError, SolverError
 from robinsphere.radial import RobinBallProblem, first_eigenvalue, shoot, u_min_and_l2
 from robinsphere.spaceform import ball_volume
 
@@ -39,14 +40,20 @@ def test_neumann_eigenvalue_zero():
     for n in (2, 3):
         for r in (0.3, 0.7, 1.2, math.pi / 2):
             pair = first_eigenvalue(RobinBallProblem(n, r, 0.0))
-            assert abs(pair.lam) <= 1e-10
+            assert pair.lam == 0.0
+            assert pair.shoots == 0
             assert np.allclose(pair.psi, 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n,r", [(2, 0.4), (2, 0.8), (3, 0.5)])
+# r = pi/2 has beta = tan(pi/2) ~ 1.6e16, an effectively Dirichlet hemisphere
+# where psi(R) is at the rounding level
+@pytest.mark.parametrize(
+    "n,r", [(2, 0.4), (2, 0.8), (3, 0.5), (2, math.pi / 2), (3, math.pi / 2)]
+)
 def test_cosine_family_eigenvalue(n, r):
     pair = first_eigenvalue(RobinBallProblem(n, r, math.tan(r)))
     assert pair.lam == pytest.approx(n, abs=1e-8)
+    assert pair.lambda_spectral == pytest.approx(n, abs=1e-9)
     # the eigenfunction is cos r up to the psi(0) = 1 normalization
     assert np.max(np.abs(pair.psi - np.cos(pair.grid))) <= 1e-9
 
@@ -73,6 +80,80 @@ def dense_scan_oracle(problem, lo=-10.0, step=1e-3):
         else:
             a, fa = mid, fm
     return 0.5 * (a + b), len(cells)
+
+
+def scan_bisect_oracle(problem, steps=4096, tol=1e-10):
+    """The former production search: unit steps from lambda = 0 toward the sign
+    of beta until the residual changes sign strictly, then bisection to tol."""
+    f0 = shoot(problem, 0.0, steps)
+    if f0 == 0.0:
+        return 0.0
+    direction = -1.0 if problem.beta < 0 else 1.0
+    lo, flo = 0.0, f0
+    k = 0
+    while True:
+        k += 1
+        cand = direction * k
+        fc = shoot(problem, cand, steps)
+        if fc == 0.0:
+            return cand
+        if fc * flo < 0.0:
+            hi = cand
+            break
+        lo, flo = cand, fc
+    while abs(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        fm = shoot(problem, mid, steps)
+        if fm == 0.0:
+            return mid
+        if fm * flo < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+ORACLE_GRID = [
+    (n, r, beta)
+    for n in (2, 3)
+    for r in (0.3, 1.0, math.pi / 2)
+    for beta in (-5.0, -1.0, -0.5, 0.5, 2.0)
+] + [(2, 1.0, -20.0)]
+
+
+@pytest.mark.parametrize("n,r,beta", ORACLE_GRID)
+def test_against_scan_bisect_oracle(n, r, beta):
+    problem = RobinBallProblem(n, r, beta)
+    pair = first_eigenvalue(problem)
+    assert abs(pair.lam - scan_bisect_oracle(problem)) <= 1e-10
+    assert pair.shoots <= 10
+
+
+def test_large_negative_beta_is_cheap():
+    # the unit-step scan needed about 1e4 shoots here
+    pair = first_eigenvalue(RobinBallProblem(2, 1.0, -100.0))
+    assert pair.shoots <= 20
+    assert np.min(pair.psi) > 0.0
+    # psi(R) is about e^100 here, so the residual is measured against beta psi(R)
+    assert abs(pair.boundary_residual) <= 1e-12 * abs(100.0 * pair.psi[-1])
+
+
+@pytest.mark.parametrize("beta", [-50.0, -100.0])
+def test_bracket_grows_where_the_estimate_is_coarse(beta):
+    # 32 collocation points under-resolve the boundary layer of width ~1/|beta|
+    pair = first_eigenvalue(RobinBallProblem(2, math.pi / 2, beta))
+    assert pair.bracket_halfwidth > 1e-9 * (1.0 + abs(pair.lam))
+    assert abs(pair.lam - pair.lambda_spectral) <= pair.bracket_halfwidth
+    assert np.min(pair.psi) > 0.0
+    # -beta^2 is the leading term as beta -> -inf; the next one is
+    # proportional to the boundary's mean curvature, 0 on the hemisphere
+    assert pair.lam == pytest.approx(-beta * beta, rel=1e-3)
+
+
+def test_no_sign_change_is_solver_error(monkeypatch):
+    monkeypatch.setattr(radial, "shoot", lambda problem, lam, steps=4096: 1.0)
+    with pytest.raises(SolverError):
+        first_eigenvalue(RobinBallProblem(2, 1.0, -1.0))
 
 
 def test_negative_beta_against_dense_scan_oracle():
