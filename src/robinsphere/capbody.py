@@ -682,8 +682,11 @@ def _arc_min_dot(structure: BoundaryStructure, arc: BoundaryArc, w) -> float:
     return min(vals)
 
 
-def hemisphere_witness(body: CapBody, margin_tol: float = 1e-12) -> tuple[np.ndarray, float]:
-    """A direction w with <p, w> >= margin > 0 for the whole body.
+_WITNESS_MARGIN = 1e-12
+
+
+def hemisphere_witness(body: CapBody) -> tuple[np.ndarray, float]:
+    """A direction w with <p, w> >= margin > _WITNESS_MARGIN for the whole body.
 
     The default candidate is the normalized sum of the poles, verified by an
     exact sweep over boundary arcs plus a check that -w is not in the body;
@@ -698,7 +701,7 @@ def hemisphere_witness(body: CapBody, margin_tol: float = 1e-12) -> tuple[np.nda
 
     w = _unit(np.sum(body.poles, axis=0))
     m = body_margin(w)
-    if m > margin_tol:
+    if m > _WITNESS_MARGIN:
         return w, m
 
     # Fibonacci sphere fallback
@@ -713,7 +716,7 @@ def hemisphere_witness(body: CapBody, margin_tol: float = 1e-12) -> tuple[np.nda
         mc = body_margin(cand)
         if mc > best_m:
             best_w, best_m = cand, mc
-    if best_m > margin_tol:
+    if best_m > _WITNESS_MARGIN:
         return best_w, best_m
     raise GeometryError(
         "no hemisphere witness found: body is not certifiably strongly convex"
@@ -767,10 +770,14 @@ def distance_to_body_many(body: CapBody, points: np.ndarray) -> np.ndarray:
     return dist
 
 
-def random_body(seed: int, k: int, spread: float = 0.4, max_attempts: int = 256) -> CapBody:
+_POLE_SPREAD = 0.4
+_MAX_ATTEMPTS = 256
+
+
+def random_body(seed: int, k: int) -> CapBody:
     """Deterministic random strongly convex body.
 
-    Poles are sampled within angular distance ``spread`` of the north pole,
+    Poles are sampled within angular distance _POLE_SPREAD of the north pole,
     radii uniformly in [0.6, pi/2]; draws repeat until the body has nonempty
     interior, a hemisphere witness, clean boundary structure, and perimeter
     strictly below the equator length.
@@ -778,10 +785,10 @@ def random_body(seed: int, k: int, spread: float = 0.4, max_attempts: int = 256)
     if not 3 <= k <= 12:
         raise GeometryError(f"k must lie in [3, 12], got {k}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         poles = []
         for _ in range(k):
-            ang = rng.uniform(0.0, spread)
+            ang = rng.uniform(0.0, _POLE_SPREAD)
             azi = rng.uniform(0.0, TWO_PI)
             poles.append(
                 [
@@ -808,13 +815,15 @@ def random_body(seed: int, k: int, spread: float = 0.4, max_attempts: int = 256)
     raise GeometryError(f"random_body(seed={seed}, k={k}) found no valid body")
 
 
-def corpus_bodies(count: int, spread: float = 0.4) -> list[tuple[str, CapBody]]:
-    """The reference corpus: seeds 1..count with cap counts cycling over 3..8."""
-    out = []
-    for seed in range(1, count + 1):
-        k = 3 + (seed - 1) % 6
-        out.append((f"random-{seed:03d}-k{k}", random_body(seed, k, spread)))
-    return out
+def corpus_body(seed: int) -> tuple[str, CapBody]:
+    """Corpus body ``seed`` and its name; cap counts cycle over 3..8 from seed 1."""
+    k = 3 + (seed - 1) % 6
+    return f"random-{seed:03d}-k{k}", random_body(seed, k)
+
+
+def corpus_bodies(count: int) -> list[tuple[str, CapBody]]:
+    """The reference corpus: corpus bodies 1..count."""
+    return [corpus_body(seed) for seed in range(1, count + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -79,11 +79,7 @@ def _load_bodies(args) -> list[tuple[str, CapBody]]:
         raise GeometryError(f"unknown fixture {name!r}; use 'octant' or 'cap:R'")
     if getattr(args, "random", None):
         seed, count = int(args.random[0]), int(args.random[1])
-        out = []
-        for s in range(seed, seed + count):
-            k = 3 + (s - 1) % 6
-            out.append((f"random-{s:03d}-k{k}", capbody.random_body(s, k)))
-        return out
+        return [capbody.corpus_body(s) for s in range(seed, seed + count)]
     raise GeometryError("no body source given: use --body-file, --fixture or --random")
 
 

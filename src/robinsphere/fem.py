@@ -28,6 +28,14 @@ from robinsphere.errors import GeometryError, SolverError
 _BASE_SPACING = 0.2
 _MIN_FULL_CIRCLE_POINTS = 16
 
+# inverse iteration: relative residual target, iterations per start vector,
+# and start vectors (the constant, then random ones)
+_RESIDUAL_TOL = 1e-10
+_MAX_ITER = 500
+_RESTARTS = 3
+
+_CALIBRATION_RADIUS = 1.0
+
 
 @dataclass
 class GeodesicMesh:
@@ -228,14 +236,7 @@ def _assemble(mesh: GeodesicMesh):
     return K, M, B
 
 
-def assemble_and_solve(
-    mesh: GeodesicMesh,
-    beta: float,
-    level: int = -1,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    restarts: int = 3,
-) -> DiscreteEigResult:
+def assemble_and_solve(mesh: GeodesicMesh, beta: float, level: int = -1) -> DiscreteEigResult:
     """Smallest eigenvalue of (K + beta B) x = lambda M x.
 
     Shifted inverse iteration with the shift below the spectrum; the crude
@@ -256,11 +257,11 @@ def assemble_and_solve(
         lu = splu(csc_matrix(A - sigma_shift * M))
         n = A.shape[0]
         x = np.ones(n)
-        for attempt in range(restarts):
+        for attempt in range(_RESTARTS):
             if attempt > 0:
                 x = rng.standard_normal(n)
             x = x / math.sqrt(float(x @ (M @ x)))
-            for _ in range(max_iter):
+            for _ in range(_MAX_ITER):
                 y = lu.solve(M @ x)
                 y = y / math.sqrt(float(y @ (M @ y)))
                 lam = float(y @ (A @ y))
@@ -268,7 +269,7 @@ def assemble_and_solve(
                 scale = (norm_a + abs(lam) * norm_m) * float(np.linalg.norm(y)) + 1e-300
                 resid = float(np.linalg.norm(r)) / scale
                 x = y
-                if resid <= tol:
+                if resid <= _RESIDUAL_TOL:
                     return lam, resid
         raise SolverError("inverse iteration did not converge")
 
@@ -291,22 +292,20 @@ def assemble_and_solve(
     return DiscreteEigResult(lambda_h=lam, refinement_level=level, residual=resid)
 
 
-def solve_body(body: CapBody, beta: float, level: int, **kw) -> DiscreteEigResult:
+def solve_body(body: CapBody, beta: float, level: int) -> DiscreteEigResult:
     """Mesh the body at the given level and solve."""
     mesh = mesh_body(body, level)
-    return assemble_and_solve(mesh, beta, level=level, **kw)
+    return assemble_and_solve(mesh, beta, level=level)
 
 
-def calibrated_ball_error(
-    level: int, beta: float = -1.0, radius: float = 1.0, steps: int = 4096
-) -> float:
-    """Relative FEM error on a geodesic ball at the given level.
+def calibrated_ball_error(level: int, beta: float = -1.0) -> float:
+    """Relative FEM error on the geodesic ball of radius _CALIBRATION_RADIUS.
 
     This is the self-calibrated oracle tolerance: the only reference with a
     trusted independent value (shooting) is the ball.
     """
     from robinsphere.radial import RobinBallProblem, first_eigenvalue
 
-    pair = first_eigenvalue(RobinBallProblem(2, radius, beta), steps=steps)
-    res = solve_body(capbody.cap_fixture(radius), beta, level)
+    pair = first_eigenvalue(RobinBallProblem(2, _CALIBRATION_RADIUS, beta))
+    res = solve_body(capbody.cap_fixture(_CALIBRATION_RADIUS), beta, level)
     return abs(res.lambda_h - pair.lam) / abs(pair.lam)

@@ -84,14 +84,6 @@ def geodesic_point(p: HalfSpacePoint, q: HalfSpacePoint, s: float) -> HalfSpaceP
     return HalfSpacePoint(tuple(xhat), xn)
 
 
-def tube_contains(x0hat, t: float, x: HalfSpacePoint) -> bool:
-    """Membership in the distance-t tube around the vertical line over x0hat."""
-    if t < 0.0:
-        raise GeometryError(f"tube radius must be nonnegative, got {t}")
-    x0hat = np.atleast_1d(np.asarray(x0hat, dtype=float))
-    return float(np.linalg.norm(x.xhat_array - x0hat)) <= math.sinh(t) * x.xn
-
-
 def cone_contains(delta: float, x: HalfSpacePoint) -> bool:
     """Membership in the inner parallel set of the unit cylinder at depth delta."""
     if delta <= 0.0:

@@ -30,6 +30,12 @@ from robinsphere.report import VerificationReport
 from robinsphere.spaceform import ball_perimeter, ball_volume, radius_from_perimeter, sigma
 
 _EDGE_TRIM = 1e-6  # profiles stop at inradius * (1 - trim)
+# isolated grid cells the perimeter inequality may miss: profile corners
+_MAX_FLAGGED = 2
+# slack of f <= g in the comparison lemma
+_COMPARISON_TOL = 1e-8
+# slack of the thm1 and thm2 eigenvalue and gradient-term comparisons
+_PIPELINE_TOL = 1e-6
 
 
 @dataclass
@@ -77,12 +83,10 @@ def grid_tolerance(dt: float) -> float:
     return 10.0 * max(dt * dt, 1e-10)
 
 
-def ode_inequality_check(
-    profile: PerimeterProfile, n: int = 2, max_flagged: int = 2
-) -> VerificationReport:
-    """Discrete check of -dP/dt >= rhs(P) at every interior grid cell.
+def ode_inequality_check(profile: PerimeterProfile) -> VerificationReport:
+    """Discrete check of -dP/dt >= rhs(P) on S^2 at every interior grid cell.
 
-    Isolated flagged cells (up to ``max_flagged``, mutually non-adjacent) are
+    Isolated flagged cells (up to _MAX_FLAGGED, mutually non-adjacent) are
     reported distinctly but tolerated: the inequality only holds for almost
     every t and profile corners fall between grid points.
     """
@@ -91,17 +95,17 @@ def ode_inequality_check(
     tol = grid_tolerance(dt)
     lhs = -(ps[1:] - ps[:-1]) / dt
     mid = 0.5 * (ps[1:] + ps[:-1])
-    rhs = np.array([profile_ode_rhs(n, float(p)) for p in mid])
+    rhs = np.array([profile_ode_rhs(2, float(p)) for p in mid])
     residual = lhs - rhs
 
     flagged = np.nonzero(residual < -tol)[0]
     isolated = all(b - a > 1 for a, b in zip(flagged, flagged[1:]))
-    ok = len(flagged) <= max_flagged and isolated
+    ok = len(flagged) <= _MAX_FLAGGED and isolated
 
-    report = VerificationReport(name=f"perimeter-ode-n{n}")
+    report = VerificationReport(name="perimeter-ode-n2")
     report.add(
         description="min over cells of [-dP/dt - rhs(P)] >= -tol_grid "
-        f"(tol_grid={tol:.3e}, {len(flagged)} flagged cells allowed up to {max_flagged}, isolated)",
+        f"(tol_grid={tol:.3e}, {len(flagged)} flagged cells allowed up to {_MAX_FLAGGED}, isolated)",
         lhs=float(np.min(residual)),
         rhs=-tol,
         residual=float(np.min(residual) + tol),
@@ -114,17 +118,15 @@ def ode_inequality_check(
     return report
 
 
-def comparison_solve(
-    ts, fs, F, g0: float, tol: float = 1e-8
-) -> tuple[np.ndarray, VerificationReport]:
-    """Integrate g' = F(g) on the sample grid of f and verify f <= g + tol.
+def comparison_solve(ts, fs, F, g0: float) -> tuple[np.ndarray, VerificationReport]:
+    """Integrate g' = F(g) on the sample grid of f and verify f <= g + _COMPARISON_TOL.
 
     F must be one-sided Lipschitz on the range swept by g; classical RK4 is
     used on each grid interval.
     """
     ts = np.asarray(ts, dtype=float)
     fs = np.asarray(fs, dtype=float)
-    if fs[0] > g0 + tol:
+    if fs[0] > g0 + _COMPARISON_TOL:
         raise GeometryError(f"comparison needs f(a) <= g(a): {fs[0]} > {g0}")
     gs = np.empty_like(fs)
     gs[0] = g0
@@ -143,9 +145,9 @@ def comparison_solve(
     report.add(
         description="max over nodes of f - g <= tol",
         lhs=worst,
-        rhs=tol,
-        residual=tol - worst,
-        passed=worst <= tol,
+        rhs=_COMPARISON_TOL,
+        residual=_COMPARISON_TOL - worst,
+        passed=worst <= _COMPARISON_TOL,
     )
     return gs, report
 
@@ -178,7 +180,6 @@ def transplant_rayleigh(
     beta: float,
     K: int = 4096,
     profile: PerimeterProfile | None = None,
-    steps: int = 4096,
 ) -> TransplantResult:
     """Rayleigh quotient of the test function phi(d(., boundary)) on the body.
 
@@ -195,7 +196,7 @@ def transplant_rayleigh(
     A = capbody.area(body, structure)
     R = radius_from_perimeter(2, P)
     problem = RobinBallProblem(2, R, beta)
-    pair = first_eigenvalue(problem, steps=steps)
+    pair = first_eigenvalue(problem)
 
     if profile is None:
         profile = perimeter_profile(body, K)
@@ -223,7 +224,7 @@ def transplant_rayleigh(
         lambda_ball=pair.lam,
         ball_radius=R,
         ball_perimeter=ball_perimeter(2, R),
-        ball_volume=ball_volume(2, R),
+        ball_volume=ball_volume(R),
         body_perimeter=float(P),
         body_area=float(A),
         profile=profile,
@@ -258,7 +259,6 @@ def thm1_verify(
     beta: float,
     K: int = 4096,
     transplant: TransplantResult | None = None,
-    tol: float = 1e-6,
 ) -> VerificationReport:
     """Four-check pipeline for the eigenvalue comparison with the equal-perimeter ball.
 
@@ -311,15 +311,15 @@ def thm1_verify(
         lhs=grad_body,
         rhs=grad_ball,
         residual=grad_ball - grad_body,
-        passed=grad_body <= grad_ball + tol,
+        passed=grad_body <= grad_ball + _PIPELINE_TOL,
         equality=abs(grad_ball - grad_body) <= eq_tol,
     )
     report.add(
         description="transplanted quotient <= ball eigenvalue + tol",
         lhs=res.rq,
         rhs=res.lambda_ball,
-        residual=res.lambda_ball + tol - res.rq,
-        passed=res.rq <= res.lambda_ball + tol,
+        residual=res.lambda_ball + _PIPELINE_TOL - res.rq,
+        passed=res.rq <= res.lambda_ball + _PIPELINE_TOL,
         equality=abs(res.lambda_ball - res.rq) <= eq_tol,
     )
 
@@ -352,7 +352,6 @@ def thm2_verify(
     transplant: TransplantResult | None = None,
     fem_lambda: float | None = None,
     fem_rel_tol: float | None = None,
-    tol: float = 1e-6,
 ) -> VerificationReport:
     """Quantitative stability pipeline: quotient against the volume-corrected bound.
 
@@ -387,8 +386,8 @@ def thm2_verify(
         description="rq <= lambda_ball * (1 - c dV)^(-1) + tol",
         lhs=res.rq,
         rhs=bound,
-        residual=bound + tol - res.rq,
-        passed=res.rq <= bound + tol,
+        residual=bound + _PIPELINE_TOL - res.rq,
+        passed=res.rq <= bound + _PIPELINE_TOL,
     )
 
     report.extras.update(

@@ -29,6 +29,8 @@ from robinsphere.spaceform import HALF_PI, sigma
 _SERIES_EPS = 1e-6
 
 _SATURATION = 1e150
+# boundary residual reported for a saturated solution, with its sign
+_SATURATED_RESIDUAL = 1e300
 
 # Chebyshev collocation size of the estimate. For |beta| <= 20 (n = 2, 3 and
 # R from 0.1 to pi/2) it is within 7e-10 (1 + |lambda|) of the RK4 root, so
@@ -179,7 +181,7 @@ def shoot(problem: RobinBallProblem, lam: float, steps: int = 4096) -> float:
     """
     y, p, _ = _integrate(problem, lam, steps, keep=False)
     if abs(y) >= _SATURATION or abs(p) >= _SATURATION:
-        return math.copysign(1e300, p if abs(p) >= abs(y) else y)
+        return math.copysign(_SATURATED_RESIDUAL, p if abs(p) >= abs(y) else y)
     return p + problem.beta * y
 
 
@@ -234,9 +236,10 @@ def first_eigenvalue(problem: RobinBallProblem, steps: int = 4096) -> RadialEige
     grows by _BRACKET_GROWTH until the residual changes sign, but d never
     exceeds (lambda_1 - lambda_0) / 2, so the bracket holds one root only.
     Brent's method then finds the root of the same discrete residual that
-    ``shoot`` evaluates, to 1e-13, and the root is taken from below. A final
-    pass keeps the samples, and a sign change of psi rejects a misidentified
-    root.
+    ``shoot`` evaluates, to 1e-13, and the root is taken from below. A
+    saturated residual at either side of it means RK4 overflowed there, and
+    is rejected. A final pass keeps the samples, and a sign change of psi
+    rejects a misidentified root.
     """
     values: dict[float, float] = {}
 
@@ -271,6 +274,15 @@ def first_eigenvalue(problem: RobinBallProblem, steps: int = 4096) -> RadialEige
         # psi' < 0 at R for beta > 0, psi(R) = (F - psi'(R)) / beta is then
         # positive even when it is at the rounding level (beta = tan(pi/2)).
         lam = max(x for x, v in values.items() if v >= 0.0)
+        above = min(x for x in values if x > lam)
+        # For |beta| R above about 340 the solution saturates below the root,
+        # and F changes sign where it first reaches _SATURATION: Brent's
+        # method then converges on that jump, not on the eigenvalue.
+        if _SATURATED_RESIDUAL in (abs(values[lam]), abs(values[above])):
+            raise SolverError(
+                f"boundary residual saturated next to the root {lam!r}: "
+                f"RK4 with {steps} steps cannot resolve beta = {problem.beta!r}"
+            )
 
     y, p, samples = _integrate(problem, lam, steps, keep=True)
     rs, ys, ps = samples

@@ -1,123 +1,16 @@
-"""Scalar primitives of the unit-curvature space forms.
+"""Closed-form geodesic balls of the round sphere.
 
-Provides the curvature-trigonometric functions, the Steiner coefficient
-integrals, the hemisphere-boundary constant, and closed-form geodesic ball
-geometry on the round sphere.
+Provides the hemisphere-boundary constant sigma_n, the perimeter of a
+geodesic ball on S^n and its inverse, and the area of a geodesic ball on S^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from robinsphere.errors import GeometryError
 
 HALF_PI = math.pi / 2.0
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-@dataclass(frozen=True)
-class SpaceFormParams:
-    """Curvature kappa in {-1, 0, 1} and dimension n >= 2."""
-
-    kappa: int
-    dim: int
-
-    def __post_init__(self):
-        if self.kappa not in (-1, 0, 1):
-            raise GeometryError(f"kappa must be -1, 0 or 1, got {self.kappa}")
-        if self.dim < 2:
-            raise GeometryError(f"dim must be >= 2, got {self.dim}")
-
-
-@dataclass(frozen=True)
-class BallGeometry:
-    """Perimeter and volume of a geodesic ball on the sphere."""
-
-    dim: int
-    radius: float
-    perimeter: float
-    volume: float
-
-
-def sn(kappa: int, t: float) -> float:
-    """Generalized sine: sinh(t), t, or sin(t) for kappa = -1, 0, +1."""
-    if kappa == -1:
-        return math.sinh(t)
-    if kappa == 0:
-        return float(t)
-    if kappa == 1:
-        return math.sin(t)
-    raise GeometryError(f"kappa must be -1, 0 or 1, got {kappa}")
-
-
-def cn(kappa: int, t: float) -> float:
-    """Derivative of sn: cosh(t), 1, or cos(t)."""
-    if kappa == -1:
-        return math.cosh(t)
-    if kappa == 0:
-        return 1.0
-    if kappa == 1:
-        return math.cos(t)
-    raise GeometryError(f"kappa must be -1, 0 or 1, got {kappa}")
-
-
-def gauss_legendre(f, a: float, b: float, tol: float = 1e-12, max_doublings: int = 16) -> float:
-    """Composite 10-point Gauss-Legendre with panel doubling.
-
-    The panel count doubles until two successive composite values agree to
-    ``tol``; deterministic, no adaptivity state.
-    """
-    if b <= a:
-        return 0.0
-
-    def composite(panels: int) -> float:
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = np.vectorize(f)(pts)
-        return float(np.sum(vals * _GL_WEIGHTS[None, :] * half[:, None]))
-
-    prev = composite(1)
-    panels = 2
-    for _ in range(max_doublings):
-        cur = composite(panels)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-        panels *= 2
-    return prev
-
-
-def steiner_L(j: int, params: SpaceFormParams, t: float) -> float:
-    """Steiner coefficient integral of cn^(n-j) * sn^(j-1) from 0 to t.
-
-    ``j = 0`` is the constant 1. Closed forms are used on the sphere for
-    small (n, j); everything else falls back to quadrature.
-    """
-    n = params.dim
-    if j < 0 or j > n:
-        raise GeometryError(f"j must lie in [0, {n}], got {j}")
-    if j == 0:
-        return 1.0
-    k = params.kappa
-    if k == 1:
-        if j == 1 and n == 2:
-            return math.sin(t)
-        if j == 1 and n == 3:
-            # integral of cos^2
-            return t / 2.0 + math.sin(2.0 * t) / 4.0
-        if j == n:
-            # integral of sn^(n-1): n=2 gives 1 - cos(t)
-            if n == 2:
-                return 1.0 - math.cos(t)
-    if k == 0 and j == n:
-        return t**n / n
-    return gauss_legendre(lambda s: cn(k, s) ** (n - j) * sn(k, s) ** (j - 1), 0.0, t)
 
 
 def sigma(n: int) -> float:
@@ -132,31 +25,15 @@ def ball_perimeter(n: int, radius: float) -> float:
     return sigma(n) * math.sin(radius) ** (n - 1)
 
 
-def ball_volume(n: int, radius: float) -> float:
-    """Volume of the geodesic ball, by quadrature of the perimeter profile."""
-    if n == 2:
-        return sigma(2) * (1.0 - math.cos(radius))
-    return sigma(n) * gauss_legendre(lambda r: math.sin(r) ** (n - 1), 0.0, radius)
+def ball_volume(radius: float) -> float:
+    """Area of the geodesic ball of the given radius on S^2."""
+    return sigma(2) * (1.0 - math.cos(radius))
 
 
-def ball_geometry(n: int, radius: float) -> BallGeometry:
-    """Geometry of a strongly convex geodesic ball; radius must lie in (0, pi/2]."""
-    if not 0.0 < radius <= HALF_PI:
-        raise GeometryError(
-            f"ball radius {radius} outside (0, pi/2]: strong-convexity violation"
-        )
-    return BallGeometry(
-        dim=n,
-        radius=radius,
-        perimeter=ball_perimeter(n, radius),
-        volume=ball_volume(n, radius),
-    )
-
-
-def radius_from_perimeter(n: int, perimeter: float, tol: float = 1e-12) -> float:
+def radius_from_perimeter(n: int, perimeter: float) -> float:
     """Radius in (0, pi/2] of the geodesic ball with the given boundary measure.
 
-    Monotone bisection of sigma_n sin^(n-1)(R) = P. Perimeters above sigma_n
+    Inverts sigma_n sin^(n-1)(R) = P in closed form. Perimeters above sigma_n
     have no strongly convex ball and are rejected.
     """
     s = sigma(n)
@@ -166,14 +43,4 @@ def radius_from_perimeter(n: int, perimeter: float, tol: float = 1e-12) -> float
         raise GeometryError(
             f"perimeter {perimeter} exceeds sigma_{n} = {s}: no strongly convex ball"
         )
-    if perimeter == s:
-        # sin is flat at pi/2; bisection cannot separate the last sqrt(eps)
-        return HALF_PI
-    lo, hi = 0.0, HALF_PI
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ball_perimeter(n, mid) < perimeter:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return math.asin((perimeter / s) ** (1.0 / (n - 1)))

@@ -4,8 +4,8 @@ import math
 import pytest
 
 from robinsphere import radial
-from robinsphere.capbody import octant_fixture, save_body
-from robinsphere.cli import main, parse_beta
+from robinsphere.capbody import corpus_body, dumps_body, octant_fixture, save_body
+from robinsphere.cli import _load_bodies, build_parser, main, parse_beta
 from robinsphere.report import CSV_COLUMNS, VerificationReport
 
 
@@ -53,6 +53,8 @@ def test_ball_eig_cosine_family(capsys, tmp_path):
     [
         # the unit-step scan took about 40 s and 1e4 shoots here
         ("1", "-100", -10064.9177028),
+        # close to where the RK4 solution starts to overflow near the root
+        ("1", "-300", -90193.3346846734),
         # effectively Dirichlet on the hemisphere; the unit-step scan and
         # bisection exited 2 here ("eigenfunction changes sign")
         (repr(math.pi / 2), f"tan({math.pi / 2!r})", 2.0),
@@ -63,6 +65,12 @@ def test_ball_eig_extreme_beta(r, beta, expected, capsys):
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert line.startswith("lambda = ")
     assert float(line[len("lambda = "):]) == pytest.approx(expected, rel=1e-10, abs=1e-8)
+
+
+def test_ball_eig_saturated_residual_is_input_error(capsys):
+    # the returned lambda sat on the jump of the saturated residual (exit 0, -117856)
+    assert main(["ball-eig", "--r", "1", "--beta", "-400"]) == 2
+    assert "saturated" in capsys.readouterr().err
 
 
 def test_ball_eig_no_bracket_is_input_error(monkeypatch, capsys):
@@ -120,6 +128,18 @@ def test_verify_thm2_random_corpus(tmp_path):
         ["verify-thm2", "--random", "1", "2", "--betas=-0.5,-1", "--k", "1024"]
     )
     assert code == 0
+
+
+def test_random_source_is_the_library_corpus(tmp_path):
+    argv = ["verify-thm2", "--random", "7", "3", "--betas=-1", "--k", "64"]
+    expected = [corpus_body(seed) for seed in (7, 8, 9)]
+    loaded = _load_bodies(build_parser().parse_args(argv))
+    assert [name for name, _ in loaded] == [name for name, _ in expected]
+    assert [dumps_body(b) for _, b in loaded] == [dumps_body(b) for _, b in expected]
+    out_csv = tmp_path / "corpus.csv"
+    assert main([*argv, "--csv", str(out_csv)]) == 0
+    ids = [line.split(",")[0] for line in out_csv.read_text().splitlines()[1:]]
+    assert ids == ["random-007-k3", "random-008-k4", "random-009-k5"]
 
 
 def test_body_file_round_trip(tmp_path):

@@ -11,7 +11,6 @@ from robinsphere.halfspace import (
     hyp_distance,
     nonconvexity_witness,
     point,
-    tube_contains,
 )
 
 
@@ -68,24 +67,6 @@ def test_geodesic_midpoint_equidistant():
 def test_geodesic_rejects_identical_points():
     with pytest.raises(GeometryError):
         geodesic_point(point(0.3, 1.0), point(0.3, 1.0), 0.5)
-
-
-def test_tube_membership():
-    assert tube_contains(0.0, 0.5, point(0.0, 7.3))  # axis point, any radius
-    x = point(math.sinh(0.4) * 2.0, 2.0)
-    assert tube_contains(0.0, 0.4, x)  # exactly on the boundary, closed tube
-    assert not tube_contains(0.0, 0.4, point(math.sinh(0.4) * 2.0 + 1e-9, 2.0))
-
-
-def test_tube_matches_sampled_axis_distance():
-    rng = np.random.default_rng(8)
-    heights = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 4001))
-    axis = [point(0.0, h) for h in heights]
-    for _ in range(50):
-        x = random_point(rng)
-        d = min(hyp_distance(x, a) for a in axis)
-        for t in (0.2, 0.5, 1.0):
-            assert tube_contains(0.0, t, x) == (d <= t + 1e-5)
 
 
 def test_cone_membership():

@@ -150,6 +150,16 @@ def test_bracket_grows_where_the_estimate_is_coarse(beta):
     assert pair.lam == pytest.approx(-beta * beta, rel=1e-3)
 
 
+@pytest.mark.parametrize("r", [1.0, 1.5])
+def test_saturated_shooting_is_solver_error(r):
+    # For |beta| R above about 340 the RK4 solution overflows before the
+    # eigenvalue. At R = 1 Brent's method used to converge on the jump of the
+    # saturated residual and return -117856 in place of about -160000; at
+    # R = 1.5 the estimate lies past that jump and no sign change is found.
+    with pytest.raises(SolverError):
+        first_eigenvalue(RobinBallProblem(2, r, -400.0))
+
+
 def test_no_sign_change_is_solver_error(monkeypatch):
     monkeypatch.setattr(radial, "shoot", lambda problem, lam, steps=4096: 1.0)
     with pytest.raises(SolverError):
@@ -204,7 +214,7 @@ def test_u_min_and_l2_neumann():
     pair = first_eigenvalue(problem)
     u_m, l2sq = u_min_and_l2(pair, problem)
     assert u_m == 1.0
-    assert l2sq == pytest.approx(ball_volume(2, 0.8), abs=1e-6)
+    assert l2sq == pytest.approx(ball_volume(0.8), abs=1e-6)
 
 
 def test_u_min_cosine_family():
