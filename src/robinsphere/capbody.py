@@ -17,7 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -133,7 +133,7 @@ class _PoleTables:
             us[i] = _unit(np.cross(poles[i], ref))
             vs[i] = np.cross(poles[i], us[i])
         self.k = k
-        self.frames = [(us[i], vs[i], poles[i]) for i in range(k)]
+        self.frames = np.stack([us, vs, poles], axis=1)  # (k, 3, 3): rows u, v, n
         self.others = np.array(
             [[j for j in range(k) if j != i] for i in range(k)], dtype=np.intp
         ).reshape(k, k - 1)
@@ -234,16 +234,19 @@ class BoundaryStructure:
 
     arcs: list[BoundaryArc]
     vertices: list[BoundaryVertex]
-    frames: list = field(default_factory=list)
+    frames: np.ndarray | None = None  # (k, 3, 3): rows u, v, n of each cap circle
     radii: np.ndarray | None = None
 
+    def circle_points(self, caps, thetas) -> np.ndarray:
+        """c_cap(theta) for matching (broadcast) arrays of caps and angles, shape (..., 3)."""
+        caps = np.asarray(caps)
+        thetas = np.asarray(thetas, dtype=float)[..., None]
+        rho = self.radii[caps][..., None]
+        u, v, n = (self.frames[caps, row] for row in range(3))
+        return np.cos(rho) * n + np.sin(rho) * (np.cos(thetas) * u + np.sin(thetas) * v)
+
     def arc_point(self, arc: BoundaryArc, theta: float) -> np.ndarray:
-        u, v, n = self.frames[arc.cap]
-        rho = float(self.radii[arc.cap])
-        return (
-            math.cos(rho) * n
-            + math.sin(rho) * (math.cos(theta) * u + math.sin(theta) * v)
-        )
+        return self.circle_points(arc.cap, theta)
 
 
 class _ArcBlock(NamedTuple):
@@ -450,9 +453,9 @@ def boundary_structure(body: CapBody) -> BoundaryStructure:
         structure.arcs = list(raw)
         return structure
 
-    def endpoint(arc: BoundaryArc, which: str) -> np.ndarray:
-        theta = arc.theta_start if which == "start" else arc.theta_end
-        return structure.arc_point(arc, theta)
+    caps = [arc.cap for arc in raw]
+    starts = structure.circle_points(caps, [arc.theta_start for arc in raw])
+    ends = structure.circle_points(caps, [arc.theta_end for arc in raw])
 
     # chain arcs: the end of an arc on cap i limited by cap j continues on an
     # arc of cap j whose start is limited by cap i at the same point
@@ -460,14 +463,14 @@ def boundary_structure(body: CapBody) -> BoundaryStructure:
     order = [unused.pop(0)]
     while True:
         cur = raw[order[-1]]
-        p_end = endpoint(cur, "end")
+        p_end = ends[order[-1]]
         j = cur.end_source
         best, best_d = None, math.inf
         for idx in unused + [order[0]]:
             cand = raw[idx]
             if cand.cap != j or cand.start_source != cur.cap:
                 continue
-            d = float(np.linalg.norm(endpoint(cand, "start") - p_end))
+            d = float(np.linalg.norm(starts[idx] - p_end))
             if d < best_d:
                 best, best_d = idx, d
         if best is None or best_d > 1e-7:
@@ -484,7 +487,7 @@ def boundary_structure(body: CapBody) -> BoundaryStructure:
     vertices = []
     for pos, arc in enumerate(arcs):
         nxt = arcs[(pos + 1) % len(arcs)]
-        p = endpoint(arc, "end")
+        p = ends[order[pos]]
         t_in = _unit(np.cross(poles[arc.cap], p))
         t_out = _unit(np.cross(poles[nxt.cap], p))
         ext = math.atan2(float(p @ np.cross(t_in, t_out)), float(t_in @ t_out))
@@ -733,12 +736,12 @@ def sample_boundary(
     """Points spread along the boundary, proportionally to arc length."""
     bs = structure if structure is not None else boundary_structure(body)
     total = sum(arc.length for arc in bs.arcs)
-    pts = []
+    caps, thetas = [], []
     for arc in bs.arcs:
         m = max(2, int(round(count * arc.length / total)))
-        for theta in np.linspace(arc.theta_start, arc.theta_end, m):
-            pts.append(bs.arc_point(arc, theta))
-    return np.array(pts)
+        caps += [arc.cap] * m
+        thetas.append(np.linspace(arc.theta_start, arc.theta_end, m))
+    return bs.circle_points(caps, np.concatenate(thetas))
 
 
 def distance_to_body_many(body: CapBody, points: np.ndarray) -> np.ndarray:

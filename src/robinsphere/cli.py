@@ -63,7 +63,10 @@ def parse_beta(text: str) -> float:
 
 
 def _parse_betas(text: str) -> list[float]:
-    return [parse_beta(tok) for tok in text.split(",") if tok.strip()]
+    betas = [parse_beta(tok) for tok in text.split(",") if tok.strip()]
+    if not betas:
+        raise GeometryError(f"no beta given in {text!r}")
+    return betas
 
 
 def _load_bodies(args) -> list[tuple[str, CapBody]]:
@@ -79,6 +82,8 @@ def _load_bodies(args) -> list[tuple[str, CapBody]]:
         raise GeometryError(f"unknown fixture {name!r}; use 'octant' or 'cap:R'")
     if getattr(args, "random", None):
         seed, count = int(args.random[0]), int(args.random[1])
+        if count < 1:
+            raise GeometryError(f"--random needs COUNT >= 1, got {count}")
         return [capbody.corpus_body(s) for s in range(seed, seed + count)]
     raise GeometryError("no body source given: use --body-file, --fixture or --random")
 
@@ -124,21 +129,16 @@ def _thm_for_body(item, betas, K, fem_level):
     capbody.hemisphere_witness(body)
     out = []
     profile = perimeter_profile(body, K)
-    fem_lambda = {}
+    fem_results = {}
     if fem_level is not None:
         for beta in betas:
-            fem_lambda[beta] = fem.solve_body(body, beta, fem_level).lambda_h
+            fem_results[beta] = fem.solve_body(body, beta, fem_level)
     for beta in betas:
         res = transplant_rayleigh(body, beta, profile=profile)
         r1 = thm1_verify(body, beta, transplant=res)
         r1.name = f"thm1[{name}, beta={beta}]"
-        r2 = thm2_verify(
-            body,
-            beta,
-            transplant=res,
-            fem_lambda=fem_lambda.get(beta),
-            fem_rel_tol=0.02,
-        )
+        fem_res = fem_results.get(beta)
+        r2 = thm2_verify(body, beta, transplant=res, fem=fem_res)
         r2.name = f"thm2[{name}, beta={beta}]"
         row = {
             "body_id": name,
@@ -148,7 +148,7 @@ def _thm_for_body(item, betas, K, fem_level):
             "inradius": res.profile.inradius,
             "lambda_ball": res.lambda_ball,
             "rq": res.rq,
-            "lambda_fem": fem_lambda.get(beta),
+            "lambda_fem": fem_res.lambda_h if fem_res is not None else None,
             "res_volume": r1.checks[0].residual,
             "res_inradius": r1.checks[1].residual,
             "res_profile": r1.checks[2].residual,

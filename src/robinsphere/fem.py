@@ -14,6 +14,7 @@ shifted inverse iteration with the shift placed safely below the spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,27 +40,21 @@ _CALIBRATION_RADIUS = 1.0
 
 @dataclass
 class GeodesicMesh:
-    """Fan-plus-subdivision triangulation of a cap body.
+    """Fan-plus-subdivision triangulation of a cap body at one refinement level.
 
     vertices lie on the sphere; triangles are positively oriented index
-    triples; boundary_edges carry exact arc lengths of the boundary pieces.
+    triples; boundary_edges run along the boundary, and boundary_lengths are
+    their exact arc lengths. corner_sine is sin(theta/2) at the sharpest
+    boundary corner of interior angle theta (1 without corners), at least 0.05.
     """
 
     vertices: np.ndarray  # (N, 3)
     triangles: np.ndarray  # (M, 3) int
-    boundary_edges: list[tuple[int, int, float]]
+    boundary_edges: np.ndarray  # (B, 2) int
+    boundary_lengths: np.ndarray  # (B,)
     h: float
-
-    def dump(self) -> str:
-        """Text format: 'v x y z', 'f i j k', 'b i j' with 1-based indices."""
-        lines = []
-        for v in self.vertices:
-            lines.append(f"v {v[0]!r} {v[1]!r} {v[2]!r}")
-        for t in self.triangles:
-            lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
-        for i, j, _ in self.boundary_edges:
-            lines.append(f"b {i + 1} {j + 1}")
-        return "\n".join(lines) + "\n"
+    level: int
+    corner_sine: float
 
 
 @dataclass
@@ -67,6 +62,12 @@ class DiscreteEigResult:
     lambda_h: float
     refinement_level: int
     residual: float
+
+
+def _edge_keys(pairs: np.ndarray, n: int) -> np.ndarray:
+    """One integer per undirected edge: lo * n + hi."""
+    lo, hi = np.sort(pairs, axis=1).T
+    return lo * n + hi
 
 
 def mesh_body(body: CapBody, level: int) -> GeodesicMesh:
@@ -81,85 +82,46 @@ def mesh_body(body: CapBody, level: int) -> GeodesicMesh:
     bs = capbody.boundary_structure(body)
     center, _ = capbody.incenter_and_inradius(body)
 
-    # sample each arc at thetas[:-1]; the dropped endpoint is the first point
-    # of the next arc (polygon) or the wrap-around start (full circle)
-    full_circle = not bs.vertices
-    arc_segs = []
-    arc_thetas = []
+    # boundary edge i lies on circle caps[i] between angles t0[i] and t1[i]; arc
+    # endpoints are shared with the next arc (polygon) or wrap (full circle)
+    min_pts = 3 if bs.vertices else _MIN_FULL_CIRCLE_POINTS
+    caps, t0, t1 = [], [], []
     for arc in bs.arcs:
-        min_pts = _MIN_FULL_CIRCLE_POINTS if full_circle else 3
         segs = max(min_pts, int(math.ceil(arc.length / _BASE_SPACING)))
-        arc_segs.append(segs)
-        arc_thetas.append(np.linspace(arc.theta_start, arc.theta_end, segs + 1))
-
-    vertices_list: list[np.ndarray] = [center]
-    arc_offsets = []
-    for arc, thetas in zip(bs.arcs, arc_thetas):
-        arc_offsets.append(len(vertices_list))
-        for th in thetas[:-1]:
-            vertices_list.append(bs.arc_point(arc, float(th)))
-    ring = list(range(1, len(vertices_list)))
-
-    boundary: dict[tuple[int, int], tuple[int, float, float]] = {}
-    for a_idx, (arc, thetas, segs) in enumerate(zip(bs.arcs, arc_thetas, arc_segs)):
-        off = arc_offsets[a_idx]
-        nxt_off = arc_offsets[(a_idx + 1) % len(bs.arcs)]
-        for kk in range(segs):
-            i = off + kk
-            j = off + kk + 1 if kk + 1 < segs else nxt_off
-            boundary[(i, j)] = (arc.cap, float(thetas[kk]), float(thetas[kk + 1]))
-
-    tris = [(0, ring[kk], ring[(kk + 1) % len(ring)]) for kk in range(len(ring))]
-
-    sin_rho = {i: math.sin(float(body.radii[i])) for i in range(len(body.radii))}
-
-    def arclen(rec) -> float:
-        cap_i, t0, t1 = rec
-        return sin_rho[cap_i] * (t1 - t0)
+        thetas = np.linspace(arc.theta_start, arc.theta_end, segs + 1)
+        caps.append(np.full(segs, arc.cap))
+        t0.append(thetas[:-1])
+        t1.append(thetas[1:])
+    caps, t0, t1 = np.concatenate(caps), np.concatenate(t0), np.concatenate(t1)
+    vertices = np.vstack([center, bs.circle_points(caps, t0)])
+    ring = np.arange(1, len(vertices))
+    bedges = np.stack([ring, np.roll(ring, -1)], axis=1)
+    triangles = np.stack([np.zeros_like(ring), ring, np.roll(ring, -1)], axis=1)
 
     for _ in range(level):
-        midpoint_of: dict[tuple[int, int], int] = {}
-        new_boundary: dict[tuple[int, int], tuple[int, float, float]] = {}
+        n = len(vertices)
+        # one midpoint per undirected edge (ab, bc, ca of every triangle)
+        keys, inverse = np.unique(
+            _edge_keys(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), n),
+            return_inverse=True,
+        )
+        a, b = np.divmod(keys, n)
+        mids = vertices[a] + vertices[b]
+        # a dot product per row rounds like np.linalg.norm of one vector
+        mids /= np.sqrt(mids[:, None, :] @ mids[:, :, None])[:, 0]
+        # boundary midpoints sit on their cap circle instead
+        slot = np.searchsorted(keys, _edge_keys(bedges, n))
+        tm = 0.5 * (t0 + t1)
+        mids[slot] = bs.circle_points(caps, tm)
+        vertices = np.vstack([vertices, mids])
 
-        def midpoint(a: int, b: int) -> int:
-            key = (min(a, b), max(a, b))
-            idx = midpoint_of.get(key)
-            if idx is not None:
-                return idx
-            rec = boundary.get((a, b)) or boundary.get((b, a))
-            if rec is not None:
-                cap_i, t0, t1 = rec
-                tm = 0.5 * (t0 + t1)
-                rho = float(body.radii[cap_i])
-                u, v, n = capbody._tables(body).frames[cap_i]
-                p = math.cos(rho) * n + math.sin(rho) * (
-                    math.cos(tm) * u + math.sin(tm) * v
-                )
-            else:
-                p = vertices_list[a] + vertices_list[b]
-                p = p / np.linalg.norm(p)
-            vertices_list.append(p)
-            idx = len(vertices_list) - 1
-            midpoint_of[key] = idx
-            return idx
-
-        new_tris = []
-        for (a, b, c) in tris:
-            ab = midpoint(a, b)
-            bc = midpoint(b, c)
-            ca = midpoint(c, a)
-            new_tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-        for (a, b), rec in boundary.items():
-            cap_i, t0, t1 = rec
-            m = midpoint(a, b)
-            tm = 0.5 * (t0 + t1)
-            new_boundary[(a, m)] = (cap_i, t0, tm)
-            new_boundary[(m, b)] = (cap_i, tm, t1)
-        tris = new_tris
-        boundary = new_boundary
-
-    vertices = np.array(vertices_list)
-    triangles = np.array(tris, dtype=int)
+        ab, bc, ca = (n + inverse.reshape(-1, 3)).T
+        A, B, C = triangles.T
+        triangles = np.stack([A, ab, ca, ab, B, bc, ca, bc, C, ab, bc, ca], axis=1).reshape(-1, 3)
+        m = n + slot
+        bedges = np.stack([bedges[:, 0], m, m, bedges[:, 1]], axis=1).reshape(-1, 2)
+        caps = np.repeat(caps, 2)
+        t0, t1 = np.stack([t0, tm], axis=1).ravel(), np.stack([tm, t1], axis=1).ravel()
 
     # enforce positive orientation: det[p0, p1, p2] > 0
     p0 = vertices[triangles[:, 0]]
@@ -174,28 +136,17 @@ def mesh_body(body: CapBody, level: int) -> GeodesicMesh:
     )
     h = float(np.max(np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)))
 
-    boundary_edges = [(a, b, arclen(rec)) for (a, b), rec in boundary.items()]
+    # a corner of exterior angle ext has interior angle theta = pi - ext
+    corner = min((math.cos(0.5 * v.exterior_angle) for v in bs.vertices), default=1.0)
     return GeodesicMesh(
-        vertices=vertices, triangles=triangles, boundary_edges=boundary_edges, h=h
+        vertices=vertices,
+        triangles=triangles,
+        boundary_edges=bedges,
+        boundary_lengths=np.sin(bs.radii[caps]) * (t1 - t0),
+        h=h,
+        level=level,
+        corner_sine=max(0.05, corner),
     )
-
-
-def _sharpest_corner_sine(mesh: GeodesicMesh) -> float:
-    """sin(theta_min/2) over boundary corners, from the boundary edge chords."""
-    nbrs: dict[int, list[int]] = {}
-    for a, b, _ in mesh.boundary_edges:
-        nbrs.setdefault(a, []).append(b)
-        nbrs.setdefault(b, []).append(a)
-    s_min = 1.0
-    for v, adj in nbrs.items():
-        if len(adj) != 2:
-            continue
-        e1 = mesh.vertices[adj[0]] - mesh.vertices[v]
-        e2 = mesh.vertices[adj[1]] - mesh.vertices[v]
-        c = float(e1 @ e2) / (float(np.linalg.norm(e1)) * float(np.linalg.norm(e2)))
-        theta = math.acos(min(1.0, max(-1.0, c)))
-        s_min = min(s_min, max(math.sin(0.5 * theta), 0.05))
-    return s_min
 
 
 def _assemble(mesh: GeodesicMesh):
@@ -226,17 +177,15 @@ def _assemble(mesh: GeodesicMesh):
     K = coo_matrix((np.concatenate(kvals), (rows, cols)), shape=(n, n)).tocsc()
     M = coo_matrix((np.concatenate(mvals), (rows, cols)), shape=(n, n)).tocsc()
 
-    brows, bcols, bvals = [], [], []
-    for a, b, ell in mesh.boundary_edges:
-        for (i, j, w) in ((a, a, ell / 3.0), (b, b, ell / 3.0), (a, b, ell / 6.0), (b, a, ell / 6.0)):
-            brows.append(i)
-            bcols.append(j)
-            bvals.append(w)
-    B = coo_matrix((bvals, (brows, bcols)), shape=(n, n)).tocsc()
+    a, b = mesh.boundary_edges.T
+    ell = mesh.boundary_lengths
+    bvals = np.concatenate([ell / 3.0, ell / 3.0, ell / 6.0, ell / 6.0])
+    bidx = (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))
+    B = coo_matrix((bvals, bidx), shape=(n, n)).tocsc()
     return K, M, B
 
 
-def assemble_and_solve(mesh: GeodesicMesh, beta: float, level: int = -1) -> DiscreteEigResult:
+def assemble_and_solve(mesh: GeodesicMesh, beta: float) -> DiscreteEigResult:
     """Smallest eigenvalue of (K + beta B) x = lambda M x.
 
     Shifted inverse iteration with the shift below the spectrum; the crude
@@ -247,7 +196,7 @@ def assemble_and_solve(mesh: GeodesicMesh, beta: float, level: int = -1) -> Disc
     K, M, B = _assemble(mesh)
     A = (K + beta * B).tocsc()
     total_area = float(M.sum())
-    total_perim = float(sum(ell for _, _, ell in mesh.boundary_edges))
+    total_perim = float(mesh.boundary_lengths.sum())
 
     norm_a = float(np.max(np.abs(A).sum(axis=1)))
     norm_m = float(np.max(np.abs(M).sum(axis=1)))
@@ -276,10 +225,9 @@ def assemble_and_solve(mesh: GeodesicMesh, beta: float, level: int = -1) -> Disc
     # Start below the crude variational bound beta P / |body|, additionally
     # pinned down by the sharpest boundary corner: a corner of interior angle
     # theta carries modes near -beta^2 / sin^2(theta/2).
-    corner = _sharpest_corner_sine(mesh)
     sigma_shift = (
         min(0.0, beta * total_perim / total_area)
-        - 1.2 * beta * beta / (corner * corner)
+        - 1.2 * beta * beta / (mesh.corner_sine * mesh.corner_sine)
         - 10.0
     )
     lam, resid = iterate(sigma_shift)
@@ -289,15 +237,15 @@ def assemble_and_solve(mesh: GeodesicMesh, beta: float, level: int = -1) -> Disc
         # shift landed inside the spectrum; descend below the found value
         sigma_shift = lam - max(1.0, abs(lam))
         lam, resid = iterate(sigma_shift)
-    return DiscreteEigResult(lambda_h=lam, refinement_level=level, residual=resid)
+    return DiscreteEigResult(lambda_h=lam, refinement_level=mesh.level, residual=resid)
 
 
 def solve_body(body: CapBody, beta: float, level: int) -> DiscreteEigResult:
     """Mesh the body at the given level and solve."""
-    mesh = mesh_body(body, level)
-    return assemble_and_solve(mesh, beta, level=level)
+    return assemble_and_solve(mesh_body(body, level), beta)
 
 
+@functools.lru_cache(maxsize=None)
 def calibrated_ball_error(level: int, beta: float = -1.0) -> float:
     """Relative FEM error on the geodesic ball of radius _CALIBRATION_RADIUS.
 

@@ -25,6 +25,7 @@ from scipy.interpolate import CubicSpline
 from robinsphere import capbody
 from robinsphere.capbody import CapBody, perimeter
 from robinsphere.errors import GeometryError
+from robinsphere.fem import DiscreteEigResult, calibrated_ball_error
 from robinsphere.radial import RadialEigenpair, RobinBallProblem, first_eigenvalue, u_min_and_l2
 from robinsphere.report import VerificationReport
 from robinsphere.spaceform import ball_perimeter, ball_volume, radius_from_perimeter, sigma
@@ -350,8 +351,7 @@ def thm2_verify(
     beta: float,
     K: int = 4096,
     transplant: TransplantResult | None = None,
-    fem_lambda: float | None = None,
-    fem_rel_tol: float | None = None,
+    fem: DiscreteEigResult | None = None,
 ) -> VerificationReport:
     """Quantitative stability pipeline: quotient against the volume-corrected bound.
 
@@ -359,8 +359,9 @@ def thm2_verify(
     0 <= c dV < 1 and rq <= lambda_ball / (1 - c dV) + tol, and reports the
     implied stability lower bound c dV for (lambda_ball - lambda)/|lambda|.
     When a finite element estimate of the body eigenvalue is supplied, the
-    estimated ratio is compared against c dV minus twice the calibrated
-    tolerance of the estimate.
+    estimated ratio is compared against c dV minus twice the FEM error on the
+    ball at the same level and beta (``calibrated_ball_error``), which the
+    report records as ``fem_rel_tol``.
     """
     if beta >= 0.0:
         raise GeometryError(f"the comparison pipeline needs beta < 0, got {beta}")
@@ -403,9 +404,10 @@ def thm2_verify(
         }
     )
 
-    if fem_lambda is not None:
-        ratio = (res.lambda_ball - fem_lambda) / abs(fem_lambda)
-        slack = 2.0 * (fem_rel_tol if fem_rel_tol is not None else 0.02)
+    if fem is not None:
+        rel_tol = calibrated_ball_error(fem.refinement_level, beta)
+        ratio = (res.lambda_ball - fem.lambda_h) / abs(fem.lambda_h)
+        slack = 2.0 * rel_tol
         report.add(
             description="FEM stability ratio (lambda_ball - lambda_h)/|lambda_h| "
             ">= c dV - 2 * calibrated tolerance",
@@ -414,6 +416,7 @@ def thm2_verify(
             residual=ratio - (cdv - slack),
             passed=ratio >= cdv - slack,
         )
-        report.extras["fem_lambda"] = fem_lambda
+        report.extras["fem_lambda"] = fem.lambda_h
         report.extras["fem_ratio"] = ratio
+        report.extras["fem_rel_tol"] = rel_tol
     return report

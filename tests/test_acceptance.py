@@ -198,10 +198,10 @@ def test_criterion_10_thm2_quantitative(corpus, transplants):
             ok = ok and res.rq <= res.lambda_ball / (1.0 - cdv) + 1e-6
     # octant stability ratio against the finer FEM estimate
     octant = corpus[0][1]
-    lam_h = solve_body(octant, -1.0, 4).lambda_h
+    fem = solve_body(octant, -1.0, 4)
     e4 = calibrated_ball_error(4)
     res = transplants[("octant", -1.0)]
-    report = thm2_verify(octant, -1.0, transplant=res, fem_lambda=lam_h, fem_rel_tol=e4)
+    report = thm2_verify(octant, -1.0, transplant=res, fem=fem)
     ratio = report.extras["fem_ratio"]
     ok = ok and ratio >= report.extras["c_dV"] - 2 * e4
     _verdict(10, "quantitative stability bound on corpus + octant FEM ratio", ok)

@@ -6,6 +6,7 @@ import pytest
 from robinsphere import radial
 from robinsphere.capbody import corpus_body, dumps_body, octant_fixture, save_body
 from robinsphere.cli import _load_bodies, build_parser, main, parse_beta
+from robinsphere.fem import calibrated_ball_error
 from robinsphere.report import CSV_COLUMNS, VerificationReport
 
 
@@ -128,6 +129,34 @@ def test_verify_thm2_random_corpus(tmp_path):
         ["verify-thm2", "--random", "1", "2", "--betas=-0.5,-1", "--k", "1024"]
     )
     assert code == 0
+
+
+def test_verify_thm2_fem_slack_is_calibrated(tmp_path):
+    # with a fixed 2% slack this failed the FEM stability check on all three
+    # bodies (body 1: ratio -0.084 against the bound -0.040)
+    out_json = tmp_path / "thm2.json"
+    argv = ["verify-thm2", "--random", "1", "3", "--betas=-5", "--fem-level", "2",
+            "--k", "1024", "--json", str(out_json)]
+    assert main(argv) == 0
+    expected = calibrated_ball_error(2, -5.0)
+    for report in json.loads(out_json.read_text())["reports"]:
+        assert report["extras"]["fem_rel_tol"] == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-thm2", "--random", "1", "0"],
+        ["profile", "--random", "1", "0"],
+        ["af-check", "--random", "3", "0"],
+        ["verify-thm1", "--fixture", "octant", "--betas="],
+    ],
+)
+def test_vacuous_runs_are_input_errors(argv, tmp_path, capsys):
+    out_json = tmp_path / "report.json"
+    assert main([*argv, "--json", str(out_json)]) == 2
+    assert not out_json.exists()
+    assert "error" in capsys.readouterr().err
 
 
 def test_random_source_is_the_library_corpus(tmp_path):

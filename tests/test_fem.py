@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robinsphere.capbody import area, cap_fixture, contains, perimeter
+from robinsphere.capbody import area, cap_fixture, contains, corpus_bodies, perimeter
 from robinsphere.errors import GeometryError
 from robinsphere.fem import (
     _assemble,
@@ -23,9 +23,7 @@ def test_mesh_level_bounds(octant):
 
 def test_ball_level0_has_enough_boundary_points():
     mesh = mesh_body(cap_fixture(1.0), 0)
-    boundary_vertices = {i for i, j, _ in mesh.boundary_edges} | {
-        j for i, j, _ in mesh.boundary_edges
-    }
+    boundary_vertices = set(mesh.boundary_edges.ravel().tolist())
     assert len(boundary_vertices) >= 16
 
 
@@ -56,7 +54,7 @@ def test_boundary_mass_equals_perimeter(octant):
     # boundary edges carry exact arc lengths, so the total is exact
     for body in (octant, cap_fixture(0.9)):
         mesh = mesh_body(body, 3)
-        total = sum(ell for _, _, ell in mesh.boundary_edges)
+        total = mesh.boundary_lengths.sum()
         assert total == pytest.approx(perimeter(body), rel=1e-12)
 
 
@@ -118,23 +116,43 @@ def test_strongly_negative_beta_targets_ground_state(octant):
     assert res.lambda_h > -2.2 * 25.0
 
 
-def test_mesh_dump_format(octant):
-    mesh = mesh_body(octant, 0)
-    text = mesh.dump()
-    lines = text.strip().splitlines()
-    kinds = {ln.split()[0] for ln in lines}
-    assert kinds == {"v", "f", "b"}
-    v_lines = [ln for ln in lines if ln.startswith("v ")]
-    f_lines = [ln for ln in lines if ln.startswith("f ")]
-    b_lines = [ln for ln in lines if ln.startswith("b ")]
-    assert len(v_lines) == len(mesh.vertices)
-    assert len(f_lines) == len(mesh.triangles)
-    assert len(b_lines) == len(mesh.boundary_edges)
-    # 1-based indices within range
-    for ln in f_lines:
-        assert all(1 <= int(tok) <= len(mesh.vertices) for tok in ln.split()[1:])
-
-
 def test_algebraic_residual_invariant(octant):
     res = solve_body(octant, -1.0, 3)
     assert res.residual <= 1e-10
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_mesh_topology(level, octant):
+    bodies = [octant, cap_fixture(0.9), cap_fixture(math.pi / 2)]
+    bodies += [body for _, body in corpus_bodies(6)]
+    for body in bodies:
+        mesh = mesh_body(body, level)
+        n = len(mesh.vertices)
+        tri_edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        keys, uses = np.unique(tri_edges[:, 0] * n + tri_edges[:, 1], return_counts=True)
+        bnd = np.sort(mesh.boundary_edges, axis=1)
+        bkeys = bnd[:, 0] * n + bnd[:, 1]
+        # boundary edges lie on one triangle, every other edge on exactly two
+        assert len(np.unique(bkeys)) == len(bkeys)
+        on_boundary = np.isin(keys, bkeys)
+        assert on_boundary.sum() == len(bkeys)
+        assert np.all(uses[on_boundary] == 1) and np.all(uses[~on_boundary] == 2)
+        # one closed boundary cycle: every boundary vertex starts one edge and
+        # ends one (degree 2), and walking the edges visits all of them
+        starts, ends = (sorted(col) for col in mesh.boundary_edges.T.tolist())
+        assert starts == ends == sorted(set(starts))
+        nxt = dict(mesh.boundary_edges.tolist())
+        first = v = int(mesh.boundary_edges[0, 0])
+        steps = 0
+        while steps == 0 or v != first:
+            v, steps = nxt[v], steps + 1
+        assert steps == len(mesh.boundary_edges)
+        # a triangulated disk: V - E + F = 1
+        assert n - len(keys) + len(mesh.triangles) == 1
+        assert abs(mesh.boundary_lengths.sum() - perimeter(body)) <= 1e-12
+        assert mesh.level == level
+
+
+def test_corner_sine_is_exact(octant):
+    assert abs(mesh_body(octant, 0).corner_sine - math.cos(math.pi / 4)) <= 1e-15
+    assert mesh_body(cap_fixture(1.0), 1).corner_sine == 1.0

@@ -215,17 +215,11 @@ def test_thm2_octant_margin(octant):
 
 
 def test_thm2_fem_cross_check(octant):
-    from robinsphere.fem import calibrated_ball_error, solve_body
+    from robinsphere.fem import solve_body
 
     res = transplant_rayleigh(octant, -1.0, K=2048)
     fem = solve_body(octant, -1.0, 3)
-    report = thm2_verify(
-        octant,
-        -1.0,
-        transplant=res,
-        fem_lambda=fem.lambda_h,
-        fem_rel_tol=calibrated_ball_error(3),
-    )
+    report = thm2_verify(octant, -1.0, transplant=res, fem=fem)
     assert report.overall
     assert report.extras["fem_ratio"] >= report.extras["c_dV"] - 2 * 0.02
 
