@@ -51,6 +51,8 @@ from robinsphere.report import VerificationReport, reports_to_json, rows_to_csv
 EXIT_PASS = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
+# equally spaced distances from the boundary in ``ball-eig --out``
+_PROFILE_POINTS = 4097
 
 
 def parse_beta(text: str) -> float:
@@ -115,11 +117,9 @@ def cmd_ball_eig(args) -> int:
     pair = first_eigenvalue(problem)
     print(f"lambda = {pair.lam!r}")
     if args.out:
-        lines = ["rho,phi"]
-        rho = pair.rho_grid
-        phi = pair.phi
-        for k in range(len(rho)):
-            lines.append(f"{rho[k]!r},{phi[k]!r}")
+        rho = np.linspace(0.0, problem.radius, _PROFILE_POINTS)
+        phi = pair.psi(problem.radius - rho)
+        lines = ["rho,phi", *(f"{x!r},{y!r}" for x, y in zip(rho.tolist(), phi.tolist()))]
         _write(args.out, "\n".join(lines) + "\n")
     return EXIT_PASS
 

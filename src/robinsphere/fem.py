@@ -250,7 +250,7 @@ def calibrated_ball_error(level: int, beta: float = -1.0) -> float:
     """Relative FEM error on the geodesic ball of radius _CALIBRATION_RADIUS.
 
     This is the self-calibrated oracle tolerance: the only reference with a
-    trusted independent value (shooting) is the ball.
+    trusted independent value (the Legendre-Galerkin radial solver) is the ball.
     """
     from robinsphere.radial import RobinBallProblem, first_eigenvalue
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from robinsphere import capbody
 from robinsphere.capbody import CapBody, perimeter
@@ -35,8 +34,19 @@ _EDGE_TRIM = 1e-6  # profiles stop at inradius * (1 - trim)
 _MAX_FLAGGED = 2
 # slack of f <= g in the comparison lemma
 _COMPARISON_TOL = 1e-8
-# slack of the thm1 and thm2 eigenvalue and gradient-term comparisons
+# slack of the thm1 and thm2 eigenvalue comparisons
 _PIPELINE_TOL = 1e-6
+# Relative slack of the thm1 gradient-term comparison and its equality flag.
+# The terms scale with the square of psi's normalisation, so only a slack
+# relative to the ball's term has a fixed strictness. P(body_t) <= P(ball_t)
+# at every node and Simpson's weights are positive, so the body's term can
+# exceed the ball's only by the rounding of the two sums, about K eps (1e-12
+# at K = 4096). Over the octant, cap fixtures of radius 0.5 to 1.5 and corpus
+# bodies 1-60 at beta in {-0.5, -1, -5} and K = 4096, the relative gap is
+# either at most 1.7e-15 (caps and bodies with a ball's profile) or at least
+# 4.3e-6. The absolute slack 1e-6 at psi(0) = 1 that this replaces was 2.2e-11
+# to 1.2e-5 relative on those bodies.
+_GRADIENT_TOL = 1e-11
 
 
 @dataclass
@@ -185,8 +195,9 @@ def transplant_rayleigh(
     """Rayleigh quotient of the test function phi(d(., boundary)) on the body.
 
     phi is the radial eigenfunction of the equal-perimeter geodesic ball,
-    written as a function of the distance from the boundary and interpolated
-    cubically from the solver grid. The profile integrals use composite
+    written as a function of the distance from the boundary, phi(t) =
+    psi(R - t); phi and phi' are evaluated at the profile nodes straight from
+    its Legendre coefficients. The profile integrals use composite
     Simpson on the shared grid: the derivative integrand carries a boundary
     layer of amplitude ~ beta^2 for strongly negative beta, and the
     first-order endpoint error of the trapezoid rule would swamp the
@@ -203,12 +214,10 @@ def transplant_rayleigh(
         profile = perimeter_profile(body, K)
     ts, ps = profile.ts, profile.ps
 
-    phi_spline = CubicSpline(pair.rho_grid, pair.phi)
-    dphi_spline = phi_spline.derivative()
-    phi = phi_spline(ts)
-    dphi = dphi_spline(ts)
+    phi = pair.psi(R - ts)
+    dphi = -pair.dpsi(R - ts)
 
-    phi0 = float(pair.psi[-1])  # phi(0) = psi(R)
+    phi0 = float(pair.psi(R))
     boundary_term_body = phi0 * phi0 * P
     boundary_term_ball = phi0 * phi0 * ball_perimeter(2, R)
 
@@ -245,11 +254,11 @@ def _equality_tol(result: TransplantResult) -> float:
     """Equality-flag tolerance of thm1: grid_tolerance(dt) * (1 + |lambda_ball|).
 
     On cap fixtures every compared pair agrees: area and ball volume,
-    inradius and ball radius, the two profiles, the two gradient terms, and
-    rq and lambda_ball. Measured at K = 4096 for R in {0.5, 0.9, 1.3, 1.5}
-    and beta in {-0.5, -1, -5}, the largest gap is 0.02 (1 + |lambda_ball|)
-    dt^2, in the gradient term at beta = -5. The grid factor 10 keeps a wide
-    margin over that.
+    inradius and ball radius, the two profiles, and rq and lambda_ball. Measured
+    at K = 4096 for R in {0.5, 0.9, 1.3, 1.5} and beta in {-0.5, -1, -5}, the
+    largest gap is 4.2e-5 (1 + |lambda_ball|) dt^2, between rq and
+    lambda_ball. The grid factor 10 keeps a wide margin over that. The two gradient terms, which scale with psi's
+    normalisation, are flagged against _GRADIENT_TOL relative instead.
     """
     dt = float(result.profile.ts[1] - result.profile.ts[0])
     return grid_tolerance(dt) * (1.0 + abs(result.lambda_ball))
@@ -312,8 +321,8 @@ def thm1_verify(
         lhs=grad_body,
         rhs=grad_ball,
         residual=grad_ball - grad_body,
-        passed=grad_body <= grad_ball + _PIPELINE_TOL,
-        equality=abs(grad_ball - grad_body) <= eq_tol,
+        passed=grad_body <= grad_ball * (1.0 + _GRADIENT_TOL),
+        equality=abs(grad_ball - grad_body) <= _GRADIENT_TOL * grad_ball,
     )
     report.add(
         description="transplanted quotient <= ball eigenvalue + tol",
@@ -329,11 +338,10 @@ def thm1_verify(
             "beta": beta,
             "rq": res.rq,
             "lambda_ball": res.lambda_ball,
-            # how lambda_ball was found; the gap compares the collocation
-            # estimate with the RK4 shooting root
-            "lambda_ball_shoots": res.eigenpair.shoots,
-            "lambda_ball_spectral": res.eigenpair.lambda_spectral,
-            "lambda_ball_discretization_gap": abs(res.eigenpair.lambda_spectral - res.lambda_ball),
+            # how lambda_ball was found: the Legendre-Galerkin basis size and
+            # the change of lambda from the next smaller basis
+            "lambda_ball_basis_size": res.eigenpair.basis_size,
+            "lambda_ball_error_estimate": res.eigenpair.error_estimate,
             "ball_radius": res.ball_radius,
             "body_perimeter": res.body_perimeter,
             "body_area": res.body_area,

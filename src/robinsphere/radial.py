@@ -1,55 +1,63 @@
 """First Robin eigenvalue of a geodesic ball in S^n.
 
-The radial reduction is the initial value problem
+The radial eigenfunction psi of the ball of radius R solves the self-adjoint
+problem
 
-    psi'' + (n-1) cot(r) psi' + lambda psi = 0,   psi(0) = 1, psi'(0) = 0,
+    -(sin^(n-1)(r) psi')' = lambda sin^(n-1)(r) psi  on (0, R),
+    psi'(R) + beta psi(R) = 0,
 
-with boundary residual F(lambda) = psi'(R) + beta psi(R), evaluated by RK4
-shooting on a fixed grid. Eigenvalues are the roots of F. The first one is
-located in two stages: a Chebyshev collocation of the same problem gives an
-estimate and the spectral gap, and a bracket grown around the estimate, never
-wider than the gap, is polished to the root of F by Brent's method. lambda = 0
-solves the Neumann case exactly.
+with the symmetric weak form
+
+    a(u, v) = int_0^R sin^(n-1)(r) u' v' dr + beta sin^(n-1)(R) u(R) v(R),
+    m(u, v) = int_0^R sin^(n-1)(r) u v dr.
+
+The weight vanishes at r = 0, so psi'(0) = 0 is natural and needs no basis
+constraint. ``first_eigenvalue`` solves the pencil (a, m) once per basis size
+on a Legendre-Galerkin basis in s = 2 r / R - 1 with Gauss-Legendre
+quadrature, grows the basis until two sizes agree, and polishes the
+eigenvalue with the Rayleigh quotient of its eigenvector. ``shoot`` is the
+RK4 shooting residual of the same problem, kept as the independent test
+oracle; the solver never calls it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.linalg import eigvals
-from scipy.optimize import brentq
+from numpy.polynomial import legendre
+from scipy.linalg import eigh
 
 from robinsphere.errors import GeometryError, SolverError
 from robinsphere.spaceform import HALF_PI, sigma
 
-# Taylor start offset past the cot(r) singularity; series error is O(eps^4).
+# Taylor start offset of ``shoot`` past the cot(r) singularity; series error O(eps^4).
 _SERIES_EPS = 1e-6
 
-_SATURATION = 1e150
-# boundary residual reported for a saturated solution, with its sign
-_SATURATED_RESIDUAL = 1e300
-
-# Chebyshev collocation size of the estimate. For |beta| <= 20 (n = 2, 3 and
-# R from 0.1 to pi/2) it is within 7e-10 (1 + |lambda|) of the RK4 root, so
-# the first bracket below holds the root.
-# It under-resolves the boundary layer of width ~1/|beta|: at beta = -100 it
-# is 3.7e-5 (R = 1) to 1.6e-3 (R = pi/2) relative off, while the RK4 root moves
-# by at most 4e-12 relative from 4096 to 16384 steps. The bracket growth
-# covers that distance in a few shoots.
-_CHEB_N = 32
-# The bracket starts at lambda_0 +- _BRACKET_START (1 + |lambda_0|) and grows
-# by _BRACKET_GROWTH on the side where the root lies.
-_BRACKET_START = 1e-9
-_BRACKET_GROWTH = 8.0
-
-# cot tables keyed by (R, steps); the integration grid is lambda-independent.
-# A corpus body or a ball-sweep round uses one radius, and each entry holds
-# about 0.5 MB of Python floats, so only the latest few are kept.
-_COT_CACHE: dict = {}
-_COT_CACHE_SIZE = 4
+# Gauss-Legendre nodes beyond the basis size. The weight sin^(n-1) is entire
+# and R <= pi/2, so 24 more nodes integrate its products with the basis to
+# rounding.
+_EXTRA_NODES = 24
+# The basis starts at the smallest multiple of _STEP_SIZE that is at least
+# _LAYER_SIZE sqrt(|beta| R) (for beta < 0 psi has a boundary layer of width
+# 1 / |beta|), and grows by _STEP_SIZE until two consecutive sizes agree to
+# _TOL (1 + |lambda|) plus _SCATTER times the rounding level of the Rayleigh
+# quotient. Over n = 2, 3, R from 0.1 to pi/2 and beta from -600 to 1e16, that
+# start was at most one step short of the smallest size that passes, and at
+# most two steps over it. Over sizes 96 to 256, R from 0.3 to pi/2 and beta
+# from -400 to -1, the quotients scattered by 34 to 65 times their rounding
+# level.
+_STEP_SIZE = 8
+_LAYER_SIZE = 4.0
+_TOL = 1e-12
+_SCATTER = 100.0
+# Past this size a solve takes about 10 ms; the inputs that need it have
+# |beta| R of several thousand.
+_MAX_SIZE = 256
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ class RobinBallProblem:
     def __post_init__(self):
         if self.dim < 2:
             raise GeometryError(f"dim must be >= 2, got {self.dim}")
-        # a non-finite beta gives no finite boundary residual to find a root of
+        # a non-finite beta gives no finite boundary form to solve with
         if not math.isfinite(self.beta):
             raise GeometryError(f"beta must be finite, got {self.beta}")
         if not 0.0 < self.radius <= HALF_PI:
@@ -72,249 +80,213 @@ class RobinBallProblem:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialEigenpair:
-    """First eigenvalue with the radial eigenfunction sampled on the solver grid.
+    """First eigenvalue and radial eigenfunction from the Legendre-Galerkin solve.
 
-    ``psi`` is normalized to psi(0) = 1 and stays positive; ``dpsi`` carries
-    the derivative samples from the same integration. ``shoots`` counts the
-    boundary-residual evaluations of the bracket and the polish,
-    ``lambda_spectral`` is the collocation estimate the bracket started from
-    and ``bracket_halfwidth`` the final half-width around it; all three are 0
-    in the Neumann case, which needs no search.
+    ``lam`` is the Rayleigh quotient of the lowest Galerkin eigenvector on
+    ``basis_size`` basis functions, and ``error_estimate`` its distance from
+    the same quotient on _STEP_SIZE fewer functions. psi is the Legendre
+    series ``coef`` in s = 2 r / R - 1. It is monotone, and it is normalized
+    so that the larger of psi(0) and psi(R) is 1. The Neumann case beta = 0
+    is lambda = 0 exactly with psi = 1, one basis function and estimate 0.
     """
 
     lam: float
-    grid: np.ndarray
-    psi: np.ndarray
-    dpsi: np.ndarray
-    boundary_residual: float
-    shoots: int
-    lambda_spectral: float
-    bracket_halfwidth: float
-    steps: int = 4096
+    radius: float
+    coef: np.ndarray
+    basis_size: int
+    error_estimate: float
 
-    @property
-    def phi(self) -> np.ndarray:
-        """Profile as a function of distance from the boundary: phi(rho) = psi(R - rho)."""
-        return self.psi[::-1].copy()
+    def psi(self, r) -> np.ndarray:
+        """psi at the radii r in [0, R]."""
+        return legendre.legval(2.0 * np.asarray(r) / self.radius - 1.0, self.coef)
 
-    @property
-    def rho_grid(self) -> np.ndarray:
-        """Grid of distances from the boundary matching ``phi``."""
-        return self.grid[-1] - self.grid[::-1]
-
-
-def _grid_tables(radius: float, steps: int):
-    key = (radius, steps)
-    tab = _COT_CACHE.get(key)
-    if tab is None:
-        h = (radius - _SERIES_EPS) / steps
-        rs = [_SERIES_EPS + i * h for i in range(steps + 1)]
-        cot_full = [math.cos(r) / math.sin(r) for r in rs]
-        cot_half = [
-            math.cos(r + 0.5 * h) / math.sin(r + 0.5 * h) for r in rs[:-1]
-        ]
-        tab = (h, rs, cot_full, cot_half)
-        if len(_COT_CACHE) >= _COT_CACHE_SIZE:
-            del _COT_CACHE[next(iter(_COT_CACHE))]
-        _COT_CACHE[key] = tab
-    return tab
-
-
-def _integrate(problem: RobinBallProblem, lam: float, steps: int, keep: bool):
-    """March the IVP with classical RK4 on a fixed grid.
-
-    Returns (psi_R, dpsi_R, samples) where samples is None unless ``keep``.
-    On overflow the state is saturated and returned as-is.
-    """
-    n = problem.dim
-    nm1 = float(n - 1)
-    h, rs, cot_full, cot_half = _grid_tables(problem.radius, steps)
-
-    y = 1.0 - lam * _SERIES_EPS * _SERIES_EPS / (2.0 * n)
-    p = -lam * _SERIES_EPS / n
-    ys = [y] if keep else None
-    ps = [p] if keep else None
-
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for i in range(steps):
-        c0 = nm1 * cot_full[i]
-        ch = nm1 * cot_half[i]
-        c1 = nm1 * cot_full[i + 1]
-
-        k1y = p
-        k1p = -c0 * p - lam * y
-        y2 = y + h2 * k1y
-        p2 = p + h2 * k1p
-        k2y = p2
-        k2p = -ch * p2 - lam * y2
-        y3 = y + h2 * k2y
-        p3 = p + h2 * k2p
-        k3y = p3
-        k3p = -ch * p3 - lam * y3
-        y4 = y + h * k3y
-        p4 = p + h * k3p
-        k4y = p4
-        k4p = -c1 * p4 - lam * y4
-
-        y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        p = p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        if abs(y) > _SATURATION or abs(p) > _SATURATION:
-            if keep:
-                ys.extend([y] * (steps - i))
-                ps.extend([p] * (steps - i))
-            break
-        if keep:
-            ys.append(y)
-            ps.append(p)
-
-    return y, p, (rs, ys, ps) if keep else None
+    def dpsi(self, r) -> np.ndarray:
+        """psi' at the radii r in [0, R]."""
+        s = 2.0 * np.asarray(r) / self.radius - 1.0
+        return legendre.legval(s, legendre.legder(self.coef)) * (2.0 / self.radius)
 
 
 def shoot(problem: RobinBallProblem, lam: float, steps: int = 4096) -> float:
-    """Boundary residual F(lambda) = psi'(R) + beta psi(R).
+    """Boundary residual F(lambda) = psi'(R) + beta psi(R) of RK4 shooting.
 
-    Overflowing solutions are reported as a saturated residual carrying the
-    sign of the blown-up branch.
+    Marches psi'' + (n-1) cot(r) psi' + lambda psi = 0 with classical RK4 on
+    a fixed grid from a two-term Taylor start at r = 1e-6; the eigenvalues
+    are the roots of F. The test oracle of ``first_eigenvalue``: for
+    |beta| R above about 340 psi overflows before the first root.
     """
-    y, p, _ = _integrate(problem, lam, steps, keep=False)
-    if abs(y) >= _SATURATION or abs(p) >= _SATURATION:
-        return math.copysign(_SATURATED_RESIDUAL, p if abs(p) >= abs(y) else y)
+    n = problem.dim
+    R = problem.radius
+    h = (R - _SERIES_EPS) / steps
+    rs = _SERIES_EPS + h * np.arange(steps + 1)
+    c_full = ((n - 1) / np.tan(rs)).tolist()
+    c_half = ((n - 1) / np.tan(rs[:-1] + 0.5 * h)).tolist()
+
+    y = 1.0 - lam * _SERIES_EPS * _SERIES_EPS / (2.0 * n)
+    p = -lam * _SERIES_EPS / n
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    for i in range(steps):
+        c0, ch, c1 = c_full[i], c_half[i], c_full[i + 1]
+        k1y, k1p = p, -c0 * p - lam * y
+        y2, p2 = y + h2 * k1y, p + h2 * k1p
+        k2y, k2p = p2, -ch * p2 - lam * y2
+        y3, p3 = y + h2 * k2y, p + h2 * k2p
+        k3y, k3p = p3, -ch * p3 - lam * y3
+        y4, p4 = y + h * k3y, p + h * k3p
+        k4y, k4p = p4, -c1 * p4 - lam * y4
+        y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        p = p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
     return p + problem.beta * y
 
 
-def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev points x_j = cos(j pi / n) and the differentiation matrix on them.
+class _Basis(NamedTuple):
+    nodes: np.ndarray  # Gauss-Legendre nodes in s
+    weights: np.ndarray
+    vander: np.ndarray  # Legendre polynomials at the nodes
+    values: np.ndarray  # basis functions at the nodes
+    slopes: np.ndarray  # their s-derivatives at the nodes
+    to_legendre: np.ndarray  # column k: Legendre coefficients of b_k
 
-    Trefethen, Spectral Methods in MATLAB (2000), program cheb.m.
+
+# sizes are 1 (beta = 0) and multiples of _STEP_SIZE up to _MAX_SIZE
+@functools.lru_cache(maxsize=None)
+def _basis(size: int) -> _Basis:
+    """Gauss-Legendre rule and the first ``size`` basis functions on it, read-only.
+
+    b_0 = 1 and b_k(s) = sqrt(k - 1/2) int_s^1 P_(k-1)(t) dt for k >= 1, so
+    b_0 is the only function that is nonzero at s = 1 (r = R), and the
+    derivatives -sqrt(k - 1/2) P_(k-1) are orthonormal on [-1, 1], the
+    well-conditioned choice of Shen (SIAM J. Sci. Comput. 15, 1994).
     """
-    j = np.arange(n + 1)
-    x = np.cos(np.pi * j / n)
-    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
-    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
-    return d - np.diag(d.sum(axis=1)), x
+    s, wq = legendre.leggauss(size + _EXTRA_NODES)
+    to_legendre = np.zeros((size, size))
+    to_legendre[0, 0] = 1.0
+    # int_s^1 P_j = (P_(j-1) - P_(j+1)) / (2j + 1), with P_(-1) read as P_0
+    j = np.arange(size - 1)
+    scale = np.sqrt(j + 0.5)
+    to_legendre[np.maximum(j - 1, 0), j + 1] += scale / (2 * j + 1)
+    to_legendre[j + 1, j + 1] -= scale / (2 * j + 1)
+    vander = legendre.legvander(s, size - 1)
+    slopes = np.zeros((len(s), size))
+    slopes[:, 1:] = -vander[:, :-1] * scale
+    basis = _Basis(s, wq, vander, vander @ to_legendre, slopes, to_legendre)
+    for array in basis:
+        array.setflags(write=False)
+    return basis
 
 
-def _spectral_estimate(problem: RobinBallProblem) -> tuple[float, float]:
-    """The two smallest eigenvalues of a Chebyshev collocation of the radial problem.
+def _radial_weights(basis: _Basis, R: float, n: int) -> np.ndarray:
+    """Gauss weights of the basis times sin^(n-1) r at its nodes, r = R (1 + s) / 2."""
+    return basis.weights * np.sin(0.5 * R * (1.0 + basis.nodes)) ** (n - 1)
 
-    Collocates sin r psi'' + (n-1) cos r psi' = -lambda sin r psi at _CHEB_N + 1
-    Chebyshev points of [0, R]. The row at r = 0 is the equation itself,
-    which there reads psi'(0) = 0. The row at r = R is the Robin condition
-    psi'(R) + beta psi(R) = 0 with a zero right-hand side, scaled by
-    1 + |beta| so that beta = tan(pi/2) ~ 1.6e16 does not swamp the QZ step.
-    The two zero rows of the right-hand side give infinite eigenvalues;
-    the finite real ones are kept.
+
+def _galerkin(problem: RobinBallProblem, size: int) -> tuple[float, float, np.ndarray]:
+    """Lowest eigenvalue of the pencil (a, m) on ``size`` basis functions.
+
+    Returns the Rayleigh quotient of the eigenvector, its rounding level and
+    the Legendre coefficients of psi. The quotient is accurate to rounding,
+    while the eigenvalue from the solver carries errors of order eps times
+    the largest eigenvalue. Its rounding level is eps (|x| |a| |x| + |lambda|
+    |x| |m| |x|) / (x m x), with |.| taken entrywise: the coefficients of a
+    steep boundary layer cancel, and it grows with |beta| R.
     """
-    d, x = _chebyshev(_CHEB_N)
-    R = problem.radius
-    r = 0.5 * R * (1.0 + x)  # r[0] = R, r[-1] = 0
-    dr = (2.0 / R) * d
-    sin_r = np.sin(r)
-    a = -(sin_r[:, None] * (dr @ dr) + (problem.dim - 1) * np.cos(r)[:, None] * dr)
-    b = np.diag(sin_r)
-    a[0] = dr[0]
-    a[0, 0] += problem.beta
-    a[0] /= 1.0 + abs(problem.beta)
-    b[0, 0] = 0.0
-    ev = eigvals(a, b)
-    # LAPACK returns a real eigenvalue of a real pencil with imaginary part exactly 0
-    ev = np.sort(ev[np.isfinite(ev) & (ev.imag == 0.0)].real)
-    if len(ev) < 2:
-        raise SolverError(f"spectral estimate found {len(ev)} real eigenvalues, need 2")
-    return float(ev[0]), float(ev[1])
-
-
-def first_eigenvalue(problem: RobinBallProblem, steps: int = 4096) -> RadialEigenpair:
-    """Smallest root of the boundary residual, with the eigenfunction samples.
-
-    lambda = 0 solves the Neumann case exactly and needs no shoot. Otherwise
-    ``_spectral_estimate`` gives lambda_0 and the next eigenvalue lambda_1. The
-    bracket lambda_0 +- d starts at d = _BRACKET_START (1 + |lambda_0|) and
-    grows by _BRACKET_GROWTH until the residual changes sign, but d never
-    exceeds (lambda_1 - lambda_0) / 2, so the bracket holds one root only.
-    Brent's method then finds the root of the same discrete residual that
-    ``shoot`` evaluates, to 1e-13, and the root is taken from below. A
-    saturated residual at either side of it means RK4 overflowed there, and
-    is rejected. A final pass keeps the samples, and a sign change of psi
-    rejects a misidentified root.
-    """
-    values: dict[float, float] = {}
-
-    def f(lam: float) -> float:
-        if lam not in values:
-            values[lam] = shoot(problem, lam, steps)
-        return values[lam]
-
-    if problem.beta == 0.0:
-        lam = lam0 = half = 0.0
+    n, R, beta = problem.dim, problem.radius, problem.beta
+    basis = _basis(size)
+    w = _radial_weights(basis, R, n)
+    m = (0.5 * R) * (basis.values.T * w) @ basis.values
+    a = (2.0 / R) * (basis.slopes.T * w) @ basis.slopes
+    # b_0 = 1 has no slope, so the boundary term is all of a's first row
+    boundary = beta * math.sin(R) ** (n - 1)
+    scale = 1.0
+    if boundary <= 1.0:
+        a[0, 0] = boundary
+        x = eigh(a, m, subset_by_index=[0, 0])[1][:, 0]
     else:
-        lam0, lam1 = _spectral_estimate(problem)
-        cap = 0.5 * (lam1 - lam0)
-        half = min(_BRACKET_START * (1.0 + abs(lam0)), cap)
-        lo, hi = lam0 - half, lam0 + half
-        while f(lo) * f(hi) > 0.0:
-            if half >= cap:
-                raise SolverError(
-                    f"no sign change of the boundary residual within half the "
-                    f"spectral gap {cap!r} of the estimate {lam0!r}"
-                )
-            half = min(_BRACKET_GROWTH * half, cap)
-            # F > 0 below the first root and F < 0 between it and the next one,
-            # so the common sign tells on which side of the bracket the root is
-            if f(hi) > 0.0:
-                lo, hi = hi, lam0 + half
-            else:
-                lo, hi = lam0 - half, lo
-        brentq(f, lo, hi, xtol=1e-13)
-        # brentq stops with two evaluated points at most 1e-13 + 4 eps |lambda|
-        # apart around the root. Take the one below it, where F >= 0: with
-        # psi' < 0 at R for beta > 0, psi(R) = (F - psi'(R)) / beta is then
-        # positive even when it is at the rounding level (beta = tan(pi/2)).
-        lam = max(x for x, v in values.items() if v >= 0.0)
-        above = min(x for x in values if x > lam)
-        # For |beta| R above about 340 the solution saturates below the root,
-        # and F changes sign where it first reaches _SATURATION: Brent's
-        # method then converges on that jump, not on the eigenvalue.
-        if _SATURATED_RESIDUAL in (abs(values[lam]), abs(values[above])):
-            raise SolverError(
-                f"boundary residual saturated next to the root {lam!r}: "
-                f"RK4 with {steps} steps cannot resolve beta = {problem.beta!r}"
-            )
+        # a is positive definite: take 1 / (largest eigenvalue of (m, a)). The
+        # boundary unknown is scaled by boundary^(-1/2), so that its entry of
+        # a is 1 and beta = tan(pi/2) ~ 1.6e16 does not swamp the factorisation.
+        scale = 1.0 / math.sqrt(boundary)
+        m[0, :] *= scale
+        m[:, 0] *= scale
+        a[0, 0] = 1.0
+        x = eigh(m, a, subset_by_index=[size - 1, size - 1])[1][:, 0]
+    norm = x @ m @ x
+    lam = (x @ a @ x) / norm
+    ax = np.abs(x)
+    rounding = _EPS * (ax @ np.abs(a) @ ax + abs(lam) * (ax @ np.abs(m) @ ax)) / norm
+    x[0] *= scale
+    return float(lam), float(rounding), basis.to_legendre @ x
 
-    y, p, samples = _integrate(problem, lam, steps, keep=True)
-    rs, ys, ps = samples
-    grid = np.concatenate(([0.0], np.asarray(rs)))
-    psi = np.concatenate(([1.0], np.asarray(ys)))
-    dpsi = np.concatenate(([0.0], np.asarray(ps)))
-    residual = p + problem.beta * y
-    if np.min(psi) <= 0.0:
-        raise SolverError(
-            "computed eigenfunction changes sign; smallest root misidentified"
+
+def first_eigenvalue(problem: RobinBallProblem) -> RadialEigenpair:
+    """Smallest Robin eigenvalue of the ball, with its radial eigenfunction.
+
+    The basis grows by _STEP_SIZE from a start set by |beta| R until the
+    Rayleigh quotients of two consecutive sizes agree to _TOL (1 + |lambda|)
+    plus _SCATTER times the rounding level of the larger solve, which is
+    then returned with that difference as its error estimate. A size past
+    _MAX_SIZE is a ``SolverError``. So is a sign change of psi beyond its
+    own error: the sum of the magnitudes of the changes of its Legendre
+    coefficients between the two sizes, plus sqrt(eps), the accuracy to
+    which a quotient at rounding level fixes an eigenvector. At R = pi/2,
+    beta = tan R, psi(R) is at rounding level. The coefficient term is needed
+    where psi(0) ~ e^(-|beta| R) lies below the eigenvector's accuracy: at
+    n = 3, R = 1, beta = -400 psi(0) comes out as -6.2e-7, with a coefficient
+    change of 1.4e-5.
+    """
+    R, beta = problem.radius, problem.beta
+    if beta == 0.0:
+        return RadialEigenpair(
+            lam=0.0, radius=R, coef=np.ones(1), basis_size=1, error_estimate=0.0
         )
-    return RadialEigenpair(
-        lam=lam,
-        grid=grid,
-        psi=psi,
-        dpsi=dpsi,
-        boundary_residual=residual,
-        shoots=len(values),
-        lambda_spectral=lam0,
-        bracket_halfwidth=half,
-        steps=steps,
-    )
+
+    layer = _LAYER_SIZE * math.sqrt(max(-beta, 0.0) * R)
+    size = _STEP_SIZE * max(1, math.ceil(layer / _STEP_SIZE))
+    previous = None
+    while size <= _MAX_SIZE:
+        lam, rounding, coef = _galerkin(problem, size)
+        if previous is not None:
+            estimate = abs(lam - previous)
+            if estimate <= _TOL * (1.0 + abs(lam)) + _SCATTER * rounding:
+                break
+        previous, previous_coef = lam, coef
+        size += _STEP_SIZE
+    else:
+        raise SolverError(
+            f"lambda at R = {R!r}, beta = {beta!r} does not settle within "
+            f"{_MAX_SIZE} basis functions"
+        )
+
+    coef, previous_coef = _unit_max(coef), _unit_max(previous_coef)
+    slack = np.abs(coef - np.pad(previous_coef, (0, _STEP_SIZE))).sum()
+    lowest = min(np.min(_basis(size).vander @ coef), np.min(_ends(coef)))
+    if lowest < -(slack + math.sqrt(_EPS)):
+        raise SolverError(f"computed eigenfunction changes sign: psi = {lowest!r}")
+    return RadialEigenpair(lam=lam, radius=R, coef=coef, basis_size=size, error_estimate=estimate)
+
+
+def _ends(coef: np.ndarray) -> np.ndarray:
+    """Values of a Legendre series at s = -1 and s = 1 (r = 0 and r = R)."""
+    return np.array([coef[::2].sum() - coef[1::2].sum(), coef.sum()])
+
+
+def _unit_max(coef: np.ndarray) -> np.ndarray:
+    """Legendre series scaled so that its end value of larger magnitude is 1."""
+    ends = _ends(coef)
+    return coef / ends[np.argmax(np.abs(ends))]
 
 
 def u_min_and_l2(pair: RadialEigenpair, problem: RobinBallProblem) -> tuple[float, float]:
     """Minimum of the eigenfunction and its squared L2 norm on the ball.
 
-    The norm integrates psi^2 against the sphere's radial weight by the
-    trapezoid rule on the solver grid.
+    psi is monotone, so its minimum is at r = 0 or r = R. The norm
+    integrates psi^2 against the sphere's radial weight with the Gauss rule
+    of the basis.
     """
-    u_m = float(np.min(pair.psi))
-    n = problem.dim
-    weight = sigma(n) * np.sin(pair.grid) ** (n - 1)
-    l2sq = float(trapezoid(pair.psi**2 * weight, x=pair.grid))
-    return u_m, l2sq
+    R = problem.radius
+    basis = _basis(pair.basis_size)
+    weight = _radial_weights(basis, R, problem.dim)
+    l2sq = sigma(problem.dim) * 0.5 * R * float(weight @ (basis.vander @ pair.coef) ** 2)
+    return float(np.min(_ends(pair.coef))), l2sq

@@ -33,6 +33,7 @@ from robinsphere.errors import (
     EmptyInteriorError,
     GeometryError,
 )
+from robinsphere.parallel import transplant_rayleigh
 from robinsphere.spaceform import radius_from_perimeter
 
 SQ3 = math.sqrt(3.0)
@@ -555,7 +556,7 @@ def test_inner_parallel_perimeters_validates_distances(octant):
         inner_parallel_perimeters(octant, [0.0, inradius(octant) + 0.05])
 
 
-# --- invariances of the batched profile ---------------------------------------
+# --- invariances of the batched profile, lambda_ball and rq --------------------
 
 INVARIANCE_SEEDS = st.integers(1, 30)
 
@@ -568,6 +569,14 @@ def shared_grid(body):
     return np.linspace(0.0, 0.99 * inradius(body), 129)
 
 
+def assert_same_ball_and_quotient(changed, body):
+    """lambda_ball and the transplanted quotient rq at K = 512 agree to 1e-12."""
+    a = transplant_rayleigh(changed, -1.0, K=512)
+    b = transplant_rayleigh(body, -1.0, K=512)
+    assert a.lambda_ball == pytest.approx(b.lambda_ball, rel=1e-12)
+    assert a.rq == pytest.approx(b.rq, rel=1e-12)
+
+
 @settings(max_examples=20, deadline=None)
 @given(INVARIANCE_SEEDS, st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3))
 def test_profile_invariant_under_rotation(seed, rotvec):
@@ -577,6 +586,7 @@ def test_profile_invariant_under_rotation(seed, rotvec):
     ts = shared_grid(body)
     diff = inner_parallel_perimeters(turned, ts) - inner_parallel_perimeters(body, ts)
     assert np.max(np.abs(diff)) <= 1e-12
+    assert_same_ball_and_quotient(turned, body)
 
 
 @settings(max_examples=20, deadline=None)
@@ -588,6 +598,7 @@ def test_profile_invariant_under_cap_permutation(seed, data):
     ts = shared_grid(body)
     diff = inner_parallel_perimeters(shuffled, ts) - inner_parallel_perimeters(body, ts)
     assert np.max(np.abs(diff)) <= 1e-12
+    assert_same_ball_and_quotient(shuffled, body)
 
 
 @settings(max_examples=20, deadline=None)
@@ -607,3 +618,4 @@ def test_profile_invariant_under_redundant_cap(seed, data):
     ts = shared_grid(body)
     diff = inner_parallel_perimeters(CapBody(tuple(caps)), ts) - inner_parallel_perimeters(body, ts)
     assert np.max(np.abs(diff)) <= 1e-12
+    assert_same_ball_and_quotient(CapBody(tuple(caps)), body)

@@ -1,9 +1,9 @@
 import json
 import math
+import time
 
 import pytest
 
-from robinsphere import radial
 from robinsphere.capbody import corpus_body, dumps_body, octant_fixture, save_body
 from robinsphere.cli import _load_bodies, build_parser, main, parse_beta
 from robinsphere.fem import calibrated_ball_error
@@ -46,7 +46,11 @@ def test_ball_eig_cosine_family(capsys, tmp_path):
     assert lam == pytest.approx(2.0, abs=1e-8)
     lines = csv.read_text().splitlines()
     assert lines[0] == "rho,phi"
-    assert len(lines) > 4000
+    assert len(lines) == 1 + 4097
+    # phi(rho) = cos(R - rho): beta > 0, so phi(R) = psi(0) = 1 is its larger end
+    for line in lines[1::512]:
+        rho, phi = map(float, line.split(","))
+        assert phi == pytest.approx(math.cos(0.8 - rho), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -68,16 +72,18 @@ def test_ball_eig_extreme_beta(r, beta, expected, capsys):
     assert float(line[len("lambda = "):]) == pytest.approx(expected, rel=1e-10, abs=1e-8)
 
 
-def test_ball_eig_saturated_residual_is_input_error(capsys):
-    # the returned lambda sat on the jump of the saturated residual (exit 0, -117856)
-    assert main(["ball-eig", "--r", "1", "--beta", "-400"]) == 2
-    assert "saturated" in capsys.readouterr().err
+def test_ball_eig_large_negative_beta(capsys):
+    # psi overflows RK4 shooting before this eigenvalue (|beta| R above about 340)
+    assert main(["ball-eig", "--r", "1", "--beta", "-400"]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert float(line[len("lambda = "):]) == pytest.approx(-160257.5437565, rel=1e-11)
 
 
-def test_ball_eig_no_bracket_is_input_error(monkeypatch, capsys):
-    monkeypatch.setattr(radial, "shoot", lambda problem, lam, steps=4096: 1.0)
-    assert main(["ball-eig", "--r", "1.0", "--beta", "-1"]) == 2
-    assert "sign change" in capsys.readouterr().err
+def test_ball_eig_past_basis_cap_is_input_error(capsys):
+    start = time.perf_counter()
+    assert main(["ball-eig", "--r", "1", "--beta=-1e6"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "basis functions" in capsys.readouterr().err
 
 
 def test_ball_eig_invalid_radius(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -188,14 +189,38 @@ def test_thm1_octant(octant, beta):
     report = thm1_verify(octant, beta, K=2048)
     assert report.overall
     assert not report.extras["equality_case"]
-    # how lambda_ball was found: a few shoots from the collocation estimate
+    # how lambda_ball was found: the Legendre-Galerkin basis size and the
+    # change of lambda from the next smaller basis
     extras = report.extras
-    assert 1 <= extras["lambda_ball_shoots"] <= 10
-    assert extras["lambda_ball_discretization_gap"] == abs(
-        extras["lambda_ball_spectral"] - extras["lambda_ball"]
-    )
-    assert extras["lambda_ball_discretization_gap"] <= 1e-8 * (1.0 + abs(extras["lambda_ball"]))
+    assert 16 <= extras["lambda_ball_basis_size"] <= 64
+    assert extras["lambda_ball_error_estimate"] <= 1e-10 * (1.0 + abs(extras["lambda_ball"]))
+    removed = {"lambda_ball_shoots", "lambda_ball_spectral", "lambda_ball_discretization_gap"}
+    assert not removed & set(extras)
     assert thm1_verify(octant, beta, K=2048).to_json() == report.to_json()
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_gradient_check_strictness_is_scale_free(octant, scale):
+    # the gradient terms scale with the square of psi's normalisation; a body
+    # term 1e-9 above the ball's must fail at every scale
+    beta = -5.0
+    res = transplant_rayleigh(octant, beta, K=512)
+    grad_ball = res.numerator_ball - beta * res.boundary_term_ball
+
+    def gradient_check(excess):
+        boundary_body = scale * res.boundary_term_body
+        moved = dataclasses.replace(
+            res,
+            numerator_ball=scale * res.numerator_ball,
+            boundary_term_ball=scale * res.boundary_term_ball,
+            boundary_term_body=boundary_body,
+            numerator_body=scale * grad_ball * (1.0 + excess) + beta * boundary_body,
+        )
+        return thm1_verify(octant, beta, transplant=moved).checks[3]
+
+    equal = gradient_check(0.0)
+    assert equal.passed and equal.equality
+    assert not gradient_check(1e-9).passed
 
 
 def test_thm2_ball_reduces_to_thm1():

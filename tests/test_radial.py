@@ -1,9 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from robinsphere import radial
+from robinsphere.cli import main
 from robinsphere.errors import GeometryError, SolverError
 from robinsphere.radial import RobinBallProblem, first_eigenvalue, shoot, u_min_and_l2
 from robinsphere.spaceform import ball_volume
@@ -36,13 +39,58 @@ def test_shoot_negative_beta_at_zero():
     assert shoot(RobinBallProblem(2, 1.0, -1.0), 0.0) == pytest.approx(-1.0, abs=1e-12)
 
 
+def radii(pair, count=1001):
+    """Evaluation points over the whole ball radius, ends included."""
+    return np.linspace(0.0, pair.radius, count)
+
+
+def layer_radii(pair, beta, count=1001):
+    """Radii of the boundary layer R - 10 / |beta| <= r <= R of a negative beta.
+
+    There psi ~ e^(beta (R - r)) psi(R) is at least about e^-10 = 4.5e-5 of
+    psi(R), far above the noise of the Galerkin eigenvector (up to 6e-10 of
+    psi(R) at R = 1, beta = -100). Further in, the exact psi falls below that
+    noise, and only the solver's own sign check applies.
+    """
+    return np.linspace(max(pair.radius - 10.0 / abs(beta), 0.0), pair.radius, count)
+
+
+def riccati_residual(problem, lam, steps=4096):
+    """w(R) + beta for w = psi'/psi, by RK4 on w' = -lambda - w^2 - (n-1) cot(r) w.
+
+    Below the Dirichlet eigenvalue psi has no zero on [0, R], so w stays
+    bounded where psi itself overflows: w approaches sqrt(-lambda) in the
+    boundary layer of a large negative beta.
+    """
+    n, R = problem.dim, problem.radius
+    r0 = 1e-6
+    h = (R - r0) / steps
+    rs = r0 + h * np.arange(steps + 1)
+    c_full = ((n - 1) / np.tan(rs)).tolist()
+    c_half = ((n - 1) / np.tan(rs[:-1] + 0.5 * h)).tolist()
+    w = -lam * r0 / n
+    for i in range(steps):
+        c0, ch, c1 = c_full[i], c_half[i], c_full[i + 1]
+        k1 = -lam - w * (w + c0)
+        w2 = w + 0.5 * h * k1
+        k2 = -lam - w2 * (w2 + ch)
+        w3 = w + 0.5 * h * k2
+        k3 = -lam - w3 * (w3 + ch)
+        w4 = w + h * k3
+        k4 = -lam - w4 * (w4 + c1)
+        w += h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return w + problem.beta
+
+
 def test_neumann_eigenvalue_zero():
     for n in (2, 3):
         for r in (0.3, 0.7, 1.2, math.pi / 2):
             pair = first_eigenvalue(RobinBallProblem(n, r, 0.0))
             assert pair.lam == 0.0
-            assert pair.shoots == 0
-            assert np.allclose(pair.psi, 1.0, atol=1e-12)
+            assert pair.basis_size == 1
+            assert pair.error_estimate == 0.0
+            assert np.all(pair.psi(radii(pair)) == 1.0)
+            assert np.all(pair.dpsi(radii(pair)) == 0.0)
 
 
 # r = pi/2 has beta = tan(pi/2) ~ 1.6e16, an effectively Dirichlet hemisphere
@@ -52,10 +100,12 @@ def test_neumann_eigenvalue_zero():
 )
 def test_cosine_family_eigenvalue(n, r):
     pair = first_eigenvalue(RobinBallProblem(n, r, math.tan(r)))
-    assert pair.lam == pytest.approx(n, abs=1e-8)
-    assert pair.lambda_spectral == pytest.approx(n, abs=1e-9)
-    # the eigenfunction is cos r up to the psi(0) = 1 normalization
-    assert np.max(np.abs(pair.psi - np.cos(pair.grid))) <= 1e-9
+    assert pair.lam == pytest.approx(n, abs=1e-12)
+    assert pair.error_estimate <= 1e-12 * (1.0 + n)
+    # the eigenfunction is cos r: beta > 0, so psi(0) = 1 is its larger end
+    rs = radii(pair)
+    assert np.max(np.abs(pair.psi(rs) - np.cos(rs))) <= 1e-12
+    assert np.max(np.abs(pair.dpsi(rs) + np.sin(rs))) <= 1e-10
 
 
 def dense_scan_oracle(problem, lo=-10.0, step=1e-3):
@@ -126,44 +176,94 @@ def test_against_scan_bisect_oracle(n, r, beta):
     problem = RobinBallProblem(n, r, beta)
     pair = first_eigenvalue(problem)
     assert abs(pair.lam - scan_bisect_oracle(problem)) <= 1e-10
-    assert pair.shoots <= 10
+    assert pair.basis_size <= 32
+    assert pair.error_estimate <= 1e-11 * (1.0 + abs(pair.lam))
 
 
 def test_large_negative_beta_is_cheap():
     # the unit-step scan needed about 1e4 shoots here
-    pair = first_eigenvalue(RobinBallProblem(2, 1.0, -100.0))
-    assert pair.shoots <= 20
-    assert np.min(pair.psi) > 0.0
-    # psi(R) is about e^100 here, so the residual is measured against beta psi(R)
-    assert abs(pair.boundary_residual) <= 1e-12 * abs(100.0 * pair.psi[-1])
+    problem = RobinBallProblem(2, 1.0, -100.0)
+    pair = first_eigenvalue(problem)
+    assert pair.basis_size <= 64
+    assert pair.error_estimate <= 1e-11 * abs(pair.lam)
+    assert pair.psi(1.0) == pytest.approx(1.0, abs=1e-14)
+    # psi(0) is about e^-100, so the Robin condition at lambda is checked by
+    # the Riccati form, relative to beta
+    assert abs(riccati_residual(problem, pair.lam)) <= 1e-12 * 100.0
+    assert np.min(pair.psi(layer_radii(pair, -100.0))) > 0.0
 
 
 @pytest.mark.parametrize("beta", [-50.0, -100.0])
-def test_bracket_grows_where_the_estimate_is_coarse(beta):
-    # 32 collocation points under-resolve the boundary layer of width ~1/|beta|
+def test_basis_grows_with_boundary_layer(beta):
+    # the boundary layer of width 1/|beta| needs more Legendre modes
     pair = first_eigenvalue(RobinBallProblem(2, math.pi / 2, beta))
-    assert pair.bracket_halfwidth > 1e-9 * (1.0 + abs(pair.lam))
-    assert abs(pair.lam - pair.lambda_spectral) <= pair.bracket_halfwidth
-    assert np.min(pair.psi) > 0.0
+    assert pair.basis_size > first_eigenvalue(RobinBallProblem(2, math.pi / 2, -1.0)).basis_size
+    assert pair.error_estimate <= 1e-11 * abs(pair.lam)
+    assert np.min(pair.psi(layer_radii(pair, beta))) > 0.0
     # -beta^2 is the leading term as beta -> -inf; the next one is
     # proportional to the boundary's mean curvature, 0 on the hemisphere
     assert pair.lam == pytest.approx(-beta * beta, rel=1e-3)
 
 
-@pytest.mark.parametrize("r", [1.0, 1.5])
-def test_saturated_shooting_is_solver_error(r):
-    # For |beta| R above about 340 the RK4 solution overflows before the
-    # eigenvalue. At R = 1 Brent's method used to converge on the jump of the
-    # saturated residual and return -117856 in place of about -160000; at
-    # R = 1.5 the estimate lies past that jump and no sign change is found.
-    with pytest.raises(SolverError):
-        first_eigenvalue(RobinBallProblem(2, r, -400.0))
+@pytest.mark.parametrize(
+    "r,beta,expected",
+    [
+        # psi overflows RK4 shooting before these eigenvalues (|beta| R above about 340)
+        (1.0, -400.0, -160257.5437565),
+        (math.pi / 2, -300.0, -90000.500001),
+    ],
+)
+def test_large_negative_beta_against_riccati_oracle(r, beta, expected):
+    problem = RobinBallProblem(2, r, beta)
+    pair = first_eigenvalue(problem)
+    assert pair.lam == pytest.approx(expected, rel=1e-11)
+    d = 1e-6 * abs(pair.lam)
+    root = brentq(lambda lam: riccati_residual(problem, lam), pair.lam - d, pair.lam + d,
+                  xtol=1e-14 * abs(pair.lam))
+    assert abs(root - pair.lam) <= 1e-10 * abs(pair.lam)
+    assert abs(root - pair.lam) <= 10.0 * pair.error_estimate
 
 
-def test_no_sign_change_is_solver_error(monkeypatch):
-    monkeypatch.setattr(radial, "shoot", lambda problem, lam, steps=4096: 1.0)
-    with pytest.raises(SolverError):
+def test_sign_check_admits_the_noise_of_a_steep_layer():
+    # for n = 3 psi(0) ~ e^-400 lies below the eigenvector's accuracy and
+    # comes out about -6e-7 of psi(R); the solver's sign check admits it
+    # through the change of psi's coefficients between the last two sizes.
+    # Near the root the residual is about beta dlambda / (2 lambda).
+    problem = RobinBallProblem(3, 1.0, -400.0)
+    pair = first_eigenvalue(problem)
+    assert abs(riccati_residual(problem, pair.lam)) <= 400.0 * pair.error_estimate / abs(pair.lam)
+    assert np.min(pair.psi(layer_radii(pair, -400.0))) > 0.0
+
+
+def test_past_basis_cap_is_solver_error():
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match="basis functions"):
+        first_eigenvalue(RobinBallProblem(2, 1.0, -1e6))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sign_changing_eigenfunction_is_solver_error(monkeypatch):
+    galerkin = radial._galerkin
+
+    def lowered(problem, size):
+        # psi - 0.8 psi(R) changes sign: psi(0) is 0.58 psi(R) here
+        lam, rounding, coef = galerkin(problem, size)
+        coef = coef.copy()
+        coef[0] -= 0.8 * coef.sum()
+        return lam, rounding, coef
+
+    monkeypatch.setattr(radial, "_galerkin", lowered)
+    with pytest.raises(SolverError, match="changes sign"):
         first_eigenvalue(RobinBallProblem(2, 1.0, -1.0))
+
+
+def test_error_estimate_bounds_larger_bases():
+    for n, r, beta in ((2, 1.0, -1.0), (3, 0.5, -5.0), (2, math.pi / 2, -20.0), (2, 0.7, 2.0)):
+        problem = RobinBallProblem(n, r, beta)
+        pair = first_eigenvalue(problem)
+        for extra in (8, 32):
+            lam, _, _ = radial._galerkin(problem, pair.basis_size + extra)
+            assert abs(lam - pair.lam) <= pair.error_estimate + 1e-13 * (1.0 + abs(lam))
 
 
 def test_negative_beta_against_dense_scan_oracle():
@@ -177,15 +277,16 @@ def test_negative_beta_against_dense_scan_oracle():
 
 
 def test_boundary_residual_invariant():
+    # the Robin condition is natural in the weak form: it holds to truncation
     for beta in (-5.0, -1.0, -0.5, 0.7, math.tan(0.8)):
         pair = first_eigenvalue(RobinBallProblem(2, 0.8, beta))
-        assert abs(pair.boundary_residual) <= 1e-8 * (1.0 + abs(beta))
+        assert abs(pair.dpsi(0.8) + beta * pair.psi(0.8)) <= 1e-8 * (1.0 + abs(beta))
 
 
 def test_eigenfunction_positive():
     for beta in (-5.0, -1.0, 2.0):
         pair = first_eigenvalue(RobinBallProblem(2, 1.1, beta))
-        assert np.min(pair.psi) > 0.0
+        assert np.min(pair.psi(radii(pair))) > 0.0
 
 
 def test_monotone_in_beta():
@@ -203,10 +304,13 @@ def test_monotone_in_radius_for_negative_beta():
 
 
 def test_grid_convergence_under_step_halving():
+    # the shooting oracle converges to the Galerkin eigenvalue as its step halves
     problem = RobinBallProblem(2, 0.9, -1.5)
-    lam_coarse = first_eigenvalue(problem, steps=4096).lam
-    lam_fine = first_eigenvalue(problem, steps=8192).lam
-    assert abs(lam_fine - lam_coarse) < 1e-8
+    lam = first_eigenvalue(problem).lam
+    coarse = scan_bisect_oracle(problem, steps=2048, tol=1e-12)
+    fine = scan_bisect_oracle(problem, steps=4096, tol=1e-12)
+    assert abs(fine - lam) <= abs(coarse - lam) + 1e-12
+    assert abs(fine - lam) <= 1e-10
 
 
 def test_u_min_and_l2_neumann():
@@ -214,27 +318,33 @@ def test_u_min_and_l2_neumann():
     pair = first_eigenvalue(problem)
     u_m, l2sq = u_min_and_l2(pair, problem)
     assert u_m == 1.0
-    assert l2sq == pytest.approx(ball_volume(0.8), abs=1e-6)
+    assert l2sq == pytest.approx(ball_volume(0.8), rel=1e-14)
 
 
 def test_u_min_cosine_family():
     problem = RobinBallProblem(2, 0.8, math.tan(0.8))
     pair = first_eigenvalue(problem)
     u_m, l2sq = u_min_and_l2(pair, problem)
-    assert u_m == pytest.approx(math.cos(0.8), abs=1e-9)
+    assert u_m == pytest.approx(math.cos(0.8), abs=1e-12)
     # int cos^2 r 2 pi sin r dr on [0, R] = 2 pi (1 - cos^3 R)/3
-    assert l2sq == pytest.approx(2 * math.pi * (1 - math.cos(0.8) ** 3) / 3, abs=1e-6)
+    assert l2sq == pytest.approx(2 * math.pi * (1 - math.cos(0.8) ** 3) / 3, rel=1e-12)
 
 
 def test_u_min_bounds_eigenfunction():
     problem = RobinBallProblem(2, 1.0, -2.0)
     pair = first_eigenvalue(problem)
     u_m, _ = u_min_and_l2(pair, problem)
-    assert 0.0 < u_m <= np.min(pair.psi) + 1e-15
+    # beta < 0: psi increases to psi(R) = 1, so its minimum is psi(0)
+    assert u_m == pytest.approx(pair.psi(0.0), rel=1e-14)
+    assert 0.0 < u_m <= np.min(pair.psi(radii(pair))) + 1e-15
 
 
-def test_phi_is_reversed_psi():
+def test_phi_is_reversed_psi(tmp_path):
+    # ball-eig --out writes phi(rho) = psi(R - rho) on 4097 equal steps of rho
+    out = tmp_path / "phi.csv"
+    assert main(["ball-eig", "--r", "0.7", "--beta", "-1", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
     pair = first_eigenvalue(RobinBallProblem(2, 0.7, -1.0))
-    assert np.array_equal(pair.phi, pair.psi[::-1])
-    assert pair.rho_grid[0] == 0.0
-    assert pair.rho_grid[-1] == pytest.approx(0.7, abs=1e-15)
+    assert np.array_equal(rows[:, 0], np.linspace(0.0, 0.7, 4097))
+    assert np.array_equal(rows[:, 1], pair.psi(0.7 - rows[:, 0]))
+    assert rows[0, 1] == pytest.approx(1.0, abs=1e-14)
