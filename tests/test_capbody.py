@@ -14,7 +14,6 @@ from robinsphere.capbody import (
     boundary_structure,
     cap_fixture,
     contains,
-    distance_to_boundary,
     distance_to_body_many,
     dumps_body,
     hemisphere_witness,
@@ -24,9 +23,9 @@ from robinsphere.capbody import (
     inradius,
     loads_body,
     make_body,
+    octant_fixture,
     perimeter,
     random_body,
-    sample_boundary,
 )
 from robinsphere.errors import (
     DegenerateGeometryError,
@@ -42,6 +41,23 @@ SQ3 = math.sqrt(3.0)
 def uniform_sphere(rng, n):
     v = rng.standard_normal((n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def at(azimuth_deg, dist):
+    a = math.radians(azimuth_deg)
+    return [math.sin(dist) * math.cos(a), math.sin(dist) * math.sin(a), math.cos(dist)]
+
+
+def sample_boundary(body, count):
+    """Points spread along the boundary, proportionally to arc length."""
+    bs = boundary_structure(body)
+    total = sum(arc.length for arc in bs.arcs)
+    caps, thetas = [], []
+    for arc in bs.arcs:
+        m = max(2, int(round(count * arc.length / total)))
+        caps += [arc.cap] * m
+        thetas.append(np.linspace(arc.theta_start, arc.theta_end, m))
+    return bs.circle_points(caps, np.concatenate(thetas))
 
 
 def lens_fixture(gamma=0.8, rho=0.7):
@@ -70,38 +86,18 @@ def test_contains_octant(octant):
     assert contains(octant, [1.0, 0.0, 0.0])  # boundary vertex, closed body
 
 
-def test_distance_to_boundary_octant(octant):
-    d = distance_to_boundary(octant, np.ones(3) / SQ3)
-    assert d == pytest.approx(math.asin(1.0 / SQ3), abs=1e-12)
-
-
-def test_distance_to_boundary_cap_center():
-    body = cap_fixture(0.8)
-    assert distance_to_boundary(body, [0.0, 0.0, 1.0]) == pytest.approx(0.8, abs=1e-15)
-
-
-def test_distance_to_boundary_on_boundary(octant):
-    p = np.array([0.0, math.sin(0.3), math.cos(0.3)])  # on the x = 0 great circle
-    assert distance_to_boundary(octant, p) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_distance_rejects_outside(octant):
-    with pytest.raises(GeometryError):
-        distance_to_boundary(octant, [-1.0, 0.0, 0.0])
-
-
 def test_distance_against_dense_boundary_sampling(small_corpus):
+    """The boundary distance of an interior point is its slack min_i (rho_i - d(p, n_i)),
+    the function whose maximum is the inradius."""
     name, body = small_corpus[2]
-    bs = boundary_structure(body)
-    boundary = sample_boundary(body, 10_000, bs)
+    boundary = sample_boundary(body, 10_000)
     rng = np.random.default_rng(3)
-    center, rin = incenter_and_inradius(body)
     checked = 0
     while checked < 100:
         p = uniform_sphere(rng, 1)[0]
         if not contains(body, p):
             continue
-        d_closed = distance_to_boundary(body, p)
+        d_closed = float(np.min(body.radii - np.arccos(np.clip(body.poles @ p, -1, 1))))
         if d_closed < 0.05:
             continue  # chord sampling error grows like spacing^2 / depth
         d_sampled = float(np.min(np.arccos(np.clip(boundary @ p, -1, 1))))
@@ -171,7 +167,7 @@ def test_boundary_structure_alternation(small_corpus):
         assert len(bs.vertices) == len(bs.arcs)
         for k, vtx in enumerate(bs.vertices):
             nxt = bs.arcs[(k + 1) % len(bs.arcs)]
-            start = bs.arc_point(nxt, nxt.theta_start)
+            start = bs.circle_points(nxt.cap, nxt.theta_start)
             assert np.linalg.norm(start - vtx.point) <= 1e-9
             assert 0.0 < vtx.exterior_angle < math.pi
 
@@ -289,7 +285,7 @@ def test_inradius_cap():
 
 
 def test_inradius_octant(octant):
-    assert inradius(octant) == pytest.approx(math.asin(1.0 / SQ3), abs=1e-10)
+    assert inradius(octant) == pytest.approx(math.asin(1.0 / SQ3), abs=1e-15)
     center, _ = incenter_and_inradius(octant)
     assert np.allclose(center, np.ones(3) / SQ3, atol=1e-9)
 
@@ -304,6 +300,28 @@ def test_inradius_against_sampled_maximization(small_corpus):
         margins = np.min(body.radii[None, :] - np.arccos(dots), axis=1)
         assert float(np.max(margins)) <= rin + 1e-9
         assert contains(body, center)
+
+
+def three_caps_about_north(rho=1.0, dist=0.5):
+    """Three equal caps whose poles sit at ``dist`` from the north pole, 120 degrees
+    apart: the incenter is the north pole with all three caps active, while the
+    poles and the pair points also lie inside the body."""
+    return make_body([at(0, dist), at(120, dist), at(240, dist)], [rho] * 3)
+
+
+def test_inradius_three_active_caps():
+    center, rin = incenter_and_inradius(three_caps_about_north())
+    assert rin == pytest.approx(0.5, abs=1e-15)
+    assert np.allclose(center, [0.0, 0.0, 1.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("make", [octant_fixture, three_caps_about_north])
+def test_certificate_rejects_a_missed_optimum(make, monkeypatch):
+    """Both optima have three active caps; without the triple candidates the
+    best remaining point is a pole or a pair point, which the KKT test rejects."""
+    monkeypatch.setattr(capbody, "_triple_candidates", lambda poles, radii: np.empty((0, 3)))
+    with pytest.raises(GeometryError, match="KKT certificate"):
+        incenter_and_inradius(make())
 
 
 # --- hemisphere witness -----------------------------------------------------
@@ -325,6 +343,21 @@ def test_witness_fails_on_hemisphere():
     # a closed hemisphere contains antipodal boundary points
     with pytest.raises(GeometryError):
         hemisphere_witness(cap_fixture(math.pi / 2))
+
+
+def test_witness_fails_on_lune():
+    # two hemispheres: the poles span a plane, so no direction is a witness
+    with pytest.raises(GeometryError, match="no hemisphere witness"):
+        hemisphere_witness(make_body([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [math.pi / 2] * 2))
+
+
+def test_witness_margin_bounded_by_sum_of_poles(octant):
+    """For p in the body <p, sum n_i> >= sum cos(rho_i): the bound that makes the
+    normalised sum of the poles the only candidate needed."""
+    for body in [octant] + [corpus_body(seed) for seed in range(1, 31)]:
+        _, margin = hemisphere_witness(body)
+        bound = float(np.sum(np.cos(body.radii)) / np.linalg.norm(body.poles.sum(axis=0)))
+        assert margin >= bound - 1e-15
 
 
 # --- random bodies ----------------------------------------------------------
@@ -502,11 +535,6 @@ def test_kernel_matches_scalar_reference_on_corpus_profiles(octant, small_corpus
         assert np.max(np.abs(got - ref)) <= 1e-13
 
 
-def at(azimuth_deg, dist):
-    a = math.radians(azimuth_deg)
-    return [math.sin(dist) * math.cos(a), math.sin(dist) * math.sin(a), math.cos(dist)]
-
-
 T_VANISH = 0.2
 
 
@@ -569,12 +597,18 @@ def shared_grid(body):
     return np.linspace(0.0, 0.99 * inradius(body), 129)
 
 
-def assert_same_ball_and_quotient(changed, body):
-    """lambda_ball and the transplanted quotient rq at K = 512 agree to 1e-12."""
+def assert_same_ball_and_quotient(changed, body, rot=np.eye(3)):
+    """lambda_ball and the transplanted quotient rq at K = 512 agree to 1e-12; the
+    inradius, the incenter (mapped by ``rot``) and the area agree to 1e-13."""
     a = transplant_rayleigh(changed, -1.0, K=512)
     b = transplant_rayleigh(body, -1.0, K=512)
     assert a.lambda_ball == pytest.approx(b.lambda_ball, rel=1e-12)
     assert a.rq == pytest.approx(b.rq, rel=1e-12)
+    center_a, rin_a = incenter_and_inradius(changed)
+    center_b, rin_b = incenter_and_inradius(body)
+    assert abs(rin_a - rin_b) <= 1e-13
+    assert np.max(np.abs(center_a - rot @ center_b)) <= 1e-13
+    assert abs(area(changed) - area(body)) <= 1e-13
 
 
 @settings(max_examples=20, deadline=None)
@@ -586,7 +620,7 @@ def test_profile_invariant_under_rotation(seed, rotvec):
     ts = shared_grid(body)
     diff = inner_parallel_perimeters(turned, ts) - inner_parallel_perimeters(body, ts)
     assert np.max(np.abs(diff)) <= 1e-12
-    assert_same_ball_and_quotient(turned, body)
+    assert_same_ball_and_quotient(turned, body, rot)
 
 
 @settings(max_examples=20, deadline=None)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from robinsphere.capbody import corpus_body, dumps_body, octant_fixture, save_body
+from robinsphere.capbody import corpus_body, dumps_body, octant_fixture
 from robinsphere.cli import _load_bodies, build_parser, main, parse_beta
 from robinsphere.fem import calibrated_ball_error
 from robinsphere.report import CSV_COLUMNS, VerificationReport
@@ -179,7 +179,7 @@ def test_random_source_is_the_library_corpus(tmp_path):
 
 def test_body_file_round_trip(tmp_path):
     path = tmp_path / "octant.body"
-    save_body(octant_fixture(), path)
+    path.write_text(dumps_body(octant_fixture()))
     assert main(["profile", "--body-file", str(path), "--k", "256"]) == 0
 
 

@@ -268,7 +268,7 @@ def test_error_estimate_bounds_larger_bases():
 
 def test_negative_beta_against_dense_scan_oracle():
     problem = RobinBallProblem(2, 1.0, -1.0)
-    oracle, n_cells = dense_scan_oracle(problem)
+    oracle, n_cells = dense_scan_oracle(problem, step=1e-2)
     assert n_cells == 1  # single negative eigenvalue
     pair = first_eigenvalue(problem)
     assert pair.lam == pytest.approx(oracle, abs=1e-8)
