@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -240,16 +241,6 @@ class _ArcBlock(NamedTuple):
     perimeters: np.ndarray  # (T,) sum over circles of sin(rho_i) * feasible width
 
 
-# Elements of one (T, k, S) kernel temporary (128 kB of float64); a block
-# holds about eight of them at once.
-_BLOCK_ELEMS = 1 << 14
-
-
-def _block_rows(k: int) -> int:
-    """Rows of a kernel block for k caps."""
-    return max(1, _BLOCK_ELEMS // (2 * k * k))
-
-
 def _arc_block(tab: _PoleTables, radii: np.ndarray) -> _ArcBlock:
     """Feasible arcs of every circle for each row of a (T, k) block of radii.
 
@@ -359,15 +350,14 @@ def _arc_block(tab: _PoleTables, radii: np.ndarray) -> _ArcBlock:
     return _ArcBlock(events, sources, counts, seg_ok, full, (sin_r * arc_width).sum(axis=-1))
 
 
-def _raw_arcs(body: CapBody):
-    """All feasible boundary arcs plus the full-circle flag.
+def _raw_arcs(tab: _PoleTables, radii: np.ndarray):
+    """All feasible boundary arcs for the poles of ``tab`` and ``radii``, and the kernel row.
 
     Each circle's arcs are the maximal circular runs of feasible segments,
     listed from the first infeasible segment on.
     """
-    tab = _tables(body)
-    radii = body.radii.tolist()
-    blk = _arc_block(tab, body.radii[None, :])
+    blk = _arc_block(tab, radii[None, :])
+    radii = radii.tolist()
     raw: list[BoundaryArc] = []
     for i in range(tab.k):
         srho = math.sin(radii[i])
@@ -396,35 +386,85 @@ def _raw_arcs(body: CapBody):
                     BoundaryArc(i, ts, te, sources[run_start], sources[end], srho * (te - ts), kg)
                 )
                 run_start = None
-    return raw, tab, bool(blk.full.any())
+    return raw, blk
+
+
+_MIN_TRACKED_WIDTH = 1e-9  # a narrower tracked arc ends its profile piece
+_ARC_KEY = attrgetter("cap", "start_source", "end_source")
+
+
+def _perimeter_pieces(body: CapBody, ts) -> tuple[np.ndarray, list[int]]:
+    """inner_parallel_perimeters, plus the index of the first node of each piece.
+
+    A piece starts with a kernel row (``_raw_arcs``): each arc of cap i, its
+    width, and the caps j_s and j_e whose crossings t0 - delta_i,j_s and
+    t0 + delta_i,j_e open and close it. Only
+        delta_ij(t) = arccos((cos(rho_j - t) - cos(rho_i - t) G_ij) / (sin(rho_i - t) H_ij))
+    moves with t, so a later node's width is the kernel's plus the change of
+    the two deltas (a full circle keeps 2 pi), and P = sum sin(rho_i - t) width.
+
+    As t grows arcs only vanish: a redundant cap stays redundant (the inner
+    parallel of an intersection of caps is the intersection of the shrunk
+    caps), and circles i and j cross only while |rho_i - rho_j| < gamma_ij <
+    rho_i + rho_j - 2t. A piece ends before a node where a tracked width is
+    below _MIN_TRACKED_WIDTH or not finite, or t is below the piece's start or
+    reaches the smallest radius, so a kernel row decides every node at which
+    an arc vanishes or the body empties; the row at a piece's last node must
+    show the arcs of its first, else GeometryError. Between kernel rows only a
+    degeneracy off the boundary goes unseen: three circles concurrent outside
+    the body, which the kernel can reject within about 1e-12 of the event.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not np.all(ts >= 0.0):
+        raise GeometryError("parallel distances must be nonnegative")
+    tab, rho = _tables(body), body.radii
+    out, starts, lo = np.empty(len(ts)), [], 0
+    while lo < len(ts):
+        starts.append(lo)
+        raw, blk = _raw_arcs(tab, rho - ts[lo])
+        arcs = set(map(_ARC_KEY, raw))
+        t = ts[lo:]
+        cos_r, sin_r = np.cos(rho - t[:, None]), np.sin(rho - t[:, None])
+        caps = np.array([arc.cap for arc in raw])
+        widths = np.tile([arc.width for arc in raw], (len(t), 1))
+        if not blk.full.any():
+            srcs = np.array([(arc.start_source, arc.end_source) for arc in raw])
+            i, pos = caps[:, None], srcs - (srcs > caps[:, None])  # column of j in row i
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c = cos_r[:, srcs] - cos_r[:, i] * tab.G[i, pos]
+                delta = np.arccos(c / (sin_r[:, i] * tab.H[i, pos]))
+            widths += (delta - delta[0]).sum(axis=-1)
+        ok = (widths >= _MIN_TRACKED_WIDTH).all(axis=1) & (t >= t[0]) & (t < rho.min())
+        hi = len(ts) if ok[1:].all() else lo + 1 + int(np.argmin(ok[1:]))
+        out[lo] = blk.perimeters[0]
+        out[lo + 1:hi] = (sin_r[1:hi - lo, caps] * widths[1:hi - lo]).sum(axis=1)
+        if hi - 1 > lo and set(map(_ARC_KEY, _raw_arcs(tab, rho - ts[hi - 1])[0])) != arcs:
+            raise GeometryError(
+                f"boundary arcs changed between t = {ts[lo]!r} and {ts[hi - 1]!r} "
+                "without one vanishing"
+            )
+        lo = hi
+    return out, starts
 
 
 def inner_parallel_perimeters(body: CapBody, ts) -> np.ndarray:
     """Perimeters of the inner parallel sets body_t for every t in ``ts``.
 
-    Equals perimeter(inner_parallel(body, t)) for each t, to rounding, from one
-    batched pass of the arc kernel over blocks of t. Raises the error of the
-    first t at which that call would fail.
+    Equals perimeter(inner_parallel(body, t)) for each t, to rounding, from a
+    kernel row at the start of each piece of the profile and closed-form arc
+    widths in between (``_perimeter_pieces``). Raises the error of the first
+    t at which that call would fail.
     """
-    ts = np.asarray(ts, dtype=float)
-    if not np.all(ts >= 0.0):
-        raise GeometryError("parallel distances must be nonnegative")
-    radii = body.radii[None, :] - ts[:, None]
-    tab = _tables(body)
-    step = _block_rows(tab.k)
-    out = np.empty(len(ts))
-    for lo in range(0, len(ts), step):
-        out[lo:lo + step] = _arc_block(tab, radii[lo:lo + step]).perimeters
-    return out
+    return _perimeter_pieces(body, ts)[0]
 
 
 def boundary_structure(body: CapBody) -> BoundaryStructure:
     """Arcs and vertices of the boundary, chained into one closed curve."""
-    raw, tab, has_full = _raw_arcs(body)
-    radii = body.radii
+    tab, radii = _tables(body), body.radii
+    raw, blk = _raw_arcs(tab, radii)
     structure = BoundaryStructure(arcs=[], vertices=[], frames=tab.frames, radii=radii)
 
-    if has_full:
+    if blk.full.any():
         structure.arcs = list(raw)
         return structure
 
@@ -543,7 +583,7 @@ def _triple_candidates(poles: np.ndarray, radii: np.ndarray) -> np.ndarray:
     idx = np.array(list(itertools.combinations(range(len(radii)), 3)), dtype=np.intp)
     idx = idx.reshape(-1, 3)  # (0, 3) below three caps
     N = poles[idx]
-    ok = np.abs(np.linalg.det(N)) > 1e-12
+    ok = np.abs(np.einsum("md,md->m", np.cross(N[:, 0], N[:, 1]), N[:, 2])) > 1e-12  # det N
     rho = radii[idx[ok]]
     uv = np.linalg.solve(N[ok], np.stack([np.cos(rho), np.sin(rho)], axis=-1))
     u, v = uv[..., 0], uv[..., 1]

@@ -557,13 +557,56 @@ def test_kernel_rejects_like_per_t_oracle_where_an_edge_vanishes():
     expected = outcome(perimeter, inner_parallel(body, T_VANISH))
     assert expected is DegenerateGeometryError
     assert outcome(scalar_perimeter, inner_parallel(body, T_VANISH)) is expected
-    # the flagged distance is the last one, three kernel blocks in
-    ts = np.linspace(0.0, T_VANISH, 2 * capbody._block_rows(4) + 2)
+    # the flagged distance is the last of 1026 nodes, where the tracked width
+    # of the vanishing edge reaches 0 and a kernel row starts a new piece
+    ts = np.linspace(0.0, T_VANISH, 1026)
     assert outcome(inner_parallel_perimeters, body, ts) is expected
     assert outcome(inner_parallel_perimeters, body, [0.0, T_VANISH, 0.21]) is expected
     ps = inner_parallel_perimeters(body, ts[:-1])
     oracle = [perimeter(inner_parallel(body, float(t))) for t in ts[:-1:50]]
     assert np.max(np.abs(ps[::50] - oracle)) <= 1e-13
+
+
+def batched_kernel_perimeters(body, ts):
+    """The untracked kernel on every row at once: the oracle of the tracked profile."""
+    radii = body.radii[None, :] - np.asarray(ts)[:, None]
+    return capbody._arc_block(capbody._tables(body), radii).perimeters
+
+
+@settings(max_examples=150, deadline=None)
+@given(cap_sets())
+def test_tracked_profile_matches_batched_kernel(body):
+    """Accepted or rejected, on 257 nodes up to 0.99 of the inradius (or of the
+    smallest radius where the inradius itself fails)."""
+    rin = outcome(inradius, body)
+    top = rin if isinstance(rin, float) else float(body.radii.min())
+    ts = np.linspace(0.0, 0.99 * top, 257)
+    ref = outcome(batched_kernel_perimeters, body, ts)
+    got = outcome(inner_parallel_perimeters, body, ts)
+    if isinstance(ref, np.ndarray):
+        assert np.max(np.abs(got - ref)) <= 1e-13
+    else:
+        assert got is ref
+
+
+def test_tracking_raises_when_the_kernel_sees_other_arcs_at_a_piece_end(monkeypatch):
+    body = capbody.corpus_body(1)[1]
+    ts = np.linspace(0.0, 0.5 * inradius(body), 65)
+    assert len(capbody._perimeter_pieces(body, ts)[1]) == 1
+    raw_arcs = capbody._raw_arcs
+    rows = []
+
+    def drop_an_arc_after_the_first_row(tab, radii):
+        raw, blk = raw_arcs(tab, radii)
+        rows.append(radii)
+        return (raw if len(rows) == 1 else raw[1:]), blk
+
+    monkeypatch.setattr(capbody, "_raw_arcs", drop_an_arc_after_the_first_row)
+    with pytest.raises(GeometryError, match="boundary arcs changed") as info:
+        inner_parallel_perimeters(body, ts)
+    assert info.type is GeometryError
+    # the certificate row is the piece's last node
+    assert len(rows) == 2 and np.array_equal(rows[1], body.radii - ts[-1])
 
 
 def test_kernel_rejects_like_per_t_oracle_for_internally_tangent_circles():
@@ -582,6 +625,20 @@ def test_inner_parallel_perimeters_validates_distances(octant):
         inner_parallel_perimeters(octant, [0.0, -0.1])
     with pytest.raises(EmptyInteriorError):
         inner_parallel_perimeters(octant, [0.0, inradius(octant) + 0.05])
+    # a full circle keeps its width 2 pi, so the radius must end its piece at
+    # t = 0.95; the kernel row at the piece's last node, t = 0.5, would pass
+    assert outcome(inner_parallel_perimeters, cap_fixture(0.9), [0.0, 0.95, 0.5]) is GeometryError
+
+
+def test_tracked_profile_in_any_order_of_distances(small_corpus):
+    """Pieces need t at or above their start, so unsorted distances give the
+    batched kernel's values too; body 30 has three pieces."""
+    rng = np.random.default_rng(5)
+    for body in (capbody.corpus_body(30)[1], small_corpus[0][1]):
+        ts = np.linspace(0.0, 0.99 * inradius(body), 257)
+        for order in (ts[::-1], rng.permutation(ts)):
+            got = inner_parallel_perimeters(body, order)
+            assert np.max(np.abs(got - batched_kernel_perimeters(body, order))) <= 1e-13
 
 
 # --- invariances of the batched profile, lambda_ball and rq --------------------

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from robinsphere.capbody import cap_fixture, corpus_bodies, inner_parallel, perimeter
+from robinsphere import capbody
+from robinsphere.capbody import (
+    cap_fixture,
+    corpus_bodies,
+    corpus_body,
+    inner_parallel,
+    perimeter,
+)
 from robinsphere.errors import GeometryError
 from robinsphere.parallel import (
     comparison_solve,
@@ -42,16 +49,29 @@ def test_profile_octant(octant):
     assert prof.ps[-1] < 0.05 * prof.ps[0]
 
 
+# corpus bodies whose K = 512 profiles have more than one piece: an arc of
+# their boundary vanishes before the inradius
+MULTI_PIECE_SEEDS = (17, 18, 27, 30, 35, 36, 39, 40, 45, 46)
+
+
 def test_profile_matches_per_t_oracle_at_every_node(octant):
-    """The batched profile against one perimeter(inner_parallel(body, t)) per node."""
+    """The tracked profile against the untracked batched kernel at every node of
+    52 bodies, and against one perimeter(inner_parallel(body, t)) per node where
+    the profile has several pieces, or is a fixture."""
     bodies = [("octant", octant), ("cap-0.9", cap_fixture(0.9)), *corpus_bodies(50)]
+    multi = {corpus_body(seed)[0] for seed in MULTI_PIECE_SEEDS}
     for name, body in bodies:
         prof = perimeter_profile(body, K=512)
-        oracle = [
-            perimeter(inner_parallel(body, float(t), inradius_hint=prof.inradius))
-            for t in prof.ts
-        ]
-        assert np.max(np.abs(prof.ps - oracle)) <= 1e-13, name
+        assert (len(prof.piece_starts) > 1) == (name in multi), name
+        radii = body.radii[None, :] - prof.ts[:, None]
+        batched = capbody._arc_block(capbody._tables(body), radii).perimeters
+        assert np.max(np.abs(prof.ps - batched)) <= 1e-13, name
+        if name in multi or name in ("octant", "cap-0.9"):
+            oracle = [
+                perimeter(inner_parallel(body, float(t), inradius_hint=prof.inradius))
+                for t in prof.ts
+            ]
+            assert np.max(np.abs(prof.ps - oracle)) <= 1e-13, name
 
 
 # --- differential inequality ------------------------------------------------
@@ -74,6 +94,18 @@ def test_ode_check_octant(octant):
     report = ode_inequality_check(perimeter_profile(octant, K=512))
     assert report.overall
     assert report.extras["flagged_cells"] == []
+
+
+def test_ode_check_equals_per_cell_rhs_loop(octant):
+    """The array right-hand side is profile_ode_rhs(2, .) cell by cell, bit for bit."""
+    for body in (octant, cap_fixture(1.4), *(b for _, b in corpus_bodies(6))):
+        prof = perimeter_profile(body, K=512)
+        dt = float(prof.ts[1] - prof.ts[0])
+        lhs = -(prof.ps[1:] - prof.ps[:-1]) / dt
+        rhs = np.array([profile_ode_rhs(2, float(p)) for p in 0.5 * (prof.ps[1:] + prof.ps[:-1])])
+        report = ode_inequality_check(prof)
+        assert report.checks[0].lhs == float(np.min(lhs - rhs))
+        assert report.extras["max_violation"] == float(-np.min(lhs - rhs))
 
 
 def test_ode_check_flags_constant_profile():
@@ -197,6 +229,17 @@ def test_thm1_octant(octant, beta):
     removed = {"lambda_ball_shoots", "lambda_ball_spectral", "lambda_ball_discretization_gap"}
     assert not removed & set(extras)
     assert thm1_verify(octant, beta, K=2048).to_json() == report.to_json()
+
+
+def test_thm1_records_profile_piece_starts(octant):
+    """The first t of each profile piece: 0 alone for the octant, where no arc
+    vanishes before the inradius; one more start per arc event on body 30."""
+    assert thm1_verify(octant, -1.0, K=512).extras["profile_piece_starts"] == [0.0]
+    body = corpus_body(30)[1]
+    prof = perimeter_profile(body, K=512)
+    starts = thm1_verify(body, -1.0, K=512).extras["profile_piece_starts"]
+    assert starts == prof.piece_starts and len(starts) == 3 and starts[0] == 0.0
+    assert set(starts) <= set(prof.ts.tolist())
 
 
 @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
