@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -37,12 +38,27 @@ _TANGENCY_TOL = 1e-10
 _FEAS_TOL = 1e-11
 
 
-def _unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_r, b_r> for each row r; a 1-by-3 times 3-by-1 product rounds like a @ b of one row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of v divided by its norm, which rounds like np.linalg.norm of that row."""
+    n = np.sqrt(_row_dots(v, v))
+    if not n.all():
         raise GeometryError("cannot normalize the zero vector")
-    return v / n
+    return v / n[:, None]
+
+
+def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of matching rows, rounded alike, without its axis handling."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _unit(v) -> np.ndarray:
+    return _unit_rows(np.asarray(v, dtype=float)[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -59,14 +75,17 @@ class CapConstraint:
         if not 0.0 < self.rho <= HALF_PI:
             raise GeometryError(f"cap radius {self.rho} outside (0, pi/2]")
 
-    @property
-    def pole_array(self) -> np.ndarray:
-        return np.asarray(self.pole, dtype=float)
-
 
 @dataclass(frozen=True)
 class CapBody:
-    """Intersection of finitely many geodesic caps."""
+    """Intersection of finitely many geodesic caps, with its derived geometry.
+
+    Equality and hashing come from the caps alone. Each derived quantity is
+    built at its first read by the module function that computes it, then
+    kept in the instance ``__dict__``, which pickling carries along; one that
+    raises is not kept. ``incircle`` is (incenter, inradius) and ``witness``
+    is (direction, margin), as ``hemisphere_witness`` returns them.
+    """
 
     constraints: tuple[CapConstraint, ...]
 
@@ -82,13 +101,34 @@ class CapBody:
     def radii(self) -> np.ndarray:
         return np.array([c.rho for c in self.constraints], dtype=float)
 
+    @cached_property
+    def tables(self) -> _PoleTables:
+        return _PoleTables(self.poles)
+
+    @cached_property
+    def structure(self) -> BoundaryStructure:
+        return boundary_structure(self)
+
+    @cached_property
+    def incircle(self) -> tuple[np.ndarray, float]:
+        return incenter_and_inradius(self)
+
+    @cached_property
+    def perimeter(self) -> float:
+        return perimeter(self)
+
+    @cached_property
+    def area(self) -> float:
+        return area(self)
+
+    @cached_property
+    def witness(self) -> tuple[np.ndarray, float]:
+        return hemisphere_witness(self)
+
 
 def make_body(poles, radii) -> CapBody:
-    caps = tuple(
-        CapConstraint(tuple(float(x) for x in _unit(p)), float(r))
-        for p, r in zip(poles, radii)
-    )
-    return CapBody(caps)
+    units = _unit_rows(np.asarray(poles, dtype=float).reshape(-1, 3)).tolist()
+    return CapBody(tuple(CapConstraint(tuple(p), float(r)) for p, r in zip(units, radii)))
 
 
 def cap_fixture(radius: float, pole=(0.0, 0.0, 1.0)) -> CapBody:
@@ -102,10 +142,11 @@ def octant_fixture() -> CapBody:
 
 
 # ---------------------------------------------------------------------------
-# cached per-pole-set trigonometry
+# per-pole-set trigonometry
 #
-# Inner parallels reuse the poles of the parent body, so the circle frames
-# and all pairwise scalar products are cached keyed by the pole matrix.
+# The circle frames and all pairwise scalar products depend on the poles
+# alone, so the tables of a body (``CapBody.tables``) serve the kernel rows
+# of all its inner parallels in ``_perimeter_pieces``.
 #
 # Cap j restricts circle i to A_ij cos(theta - t0_ij) >= c_ij with
 #     A_ij = sin(rho_i) |(U_ij, V_ij)|,  t0_ij = atan2(V_ij, U_ij),
@@ -113,27 +154,18 @@ def octant_fixture() -> CapBody:
 # so only A and c depend on the radii. Pair tables are stored as (k, k-1)
 # arrays whose row i lists the other caps j != i in increasing order.
 
-_TABLE_CACHE: dict = {}
-
-
 class _PoleTables:
     __slots__ = ("frames", "k", "others", "sources", "G", "U", "V", "H", "t0")
 
     def __init__(self, poles: np.ndarray):
         k = len(poles)
-        us = np.empty((k, 3))
-        vs = np.empty((k, 3))
-        ref_z = np.array([0.0, 0.0, 1.0])
-        ref_x = np.array([1.0, 0.0, 0.0])
-        for i in range(k):
-            ref = ref_x if abs(poles[i] @ ref_z) > 0.9 else ref_z
-            us[i] = _unit(np.cross(poles[i], ref))
-            vs[i] = np.cross(poles[i], us[i])
+        # u = n x e_z, or n x e_x for poles within acos(0.9) of the z axis
+        ref = np.where(np.abs(poles[:, 2:]) > 0.9, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        us = _unit_rows(_cross_rows(poles, ref))
+        vs = _cross_rows(poles, us)
         self.k = k
         self.frames = np.stack([us, vs, poles], axis=1)  # (k, 3, 3): rows u, v, n
-        self.others = np.array(
-            [[j for j in range(k) if j != i] for i in range(k)], dtype=np.intp
-        ).reshape(k, k - 1)
+        self.others = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
         rows = np.arange(k)[:, None]
         self.G = (poles @ poles.T)[rows, self.others]
         self.U = (us @ poles.T)[rows, self.others]
@@ -142,17 +174,6 @@ class _PoleTables:
         self.t0 = np.arctan2(self.V, self.U)
         # source cap of each crossing slot: the t0 - delta crossings, then t0 + delta
         self.sources = np.concatenate([self.others, self.others], axis=1)
-
-
-def _tables(body: CapBody) -> _PoleTables:
-    key = body.poles.tobytes()
-    tab = _TABLE_CACHE.get(key)
-    if tab is None:
-        tab = _PoleTables(body.poles)
-        if len(_TABLE_CACHE) > 256:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[key] = tab
-    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +438,7 @@ def _perimeter_pieces(body: CapBody, ts) -> tuple[np.ndarray, list[int]]:
     ts = np.asarray(ts, dtype=float)
     if not np.all(ts >= 0.0):
         raise GeometryError("parallel distances must be nonnegative")
-    tab, rho = _tables(body), body.radii
+    tab, rho = body.tables, body.radii
     out, starts, lo = np.empty(len(ts)), [], 0
     while lo < len(ts):
         starts.append(lo)
@@ -460,7 +481,7 @@ def inner_parallel_perimeters(body: CapBody, ts) -> np.ndarray:
 
 def boundary_structure(body: CapBody) -> BoundaryStructure:
     """Arcs and vertices of the boundary, chained into one closed curve."""
-    tab, radii = _tables(body), body.radii
+    tab, radii = body.tables, body.radii
     raw, blk = _raw_arcs(tab, radii)
     structure = BoundaryStructure(arcs=[], vertices=[], frames=tab.frames, radii=radii)
 
@@ -472,63 +493,49 @@ def boundary_structure(body: CapBody) -> BoundaryStructure:
     starts = structure.circle_points(caps, [arc.theta_start for arc in raw])
     ends = structure.circle_points(caps, [arc.theta_end for arc in raw])
 
-    # chain arcs: the end of an arc on cap i limited by cap j continues on an
-    # arc of cap j whose start is limited by cap i at the same point
-    unused = list(range(len(raw)))
-    order = [unused.pop(0)]
+    # chain arcs: the end of an arc on cap i limited by cap j continues on the
+    # nearest arc of cap j whose start is limited by cap i, at the same point
+    linked = [[(a.end_source, a.cap) == (b.cap, b.start_source) for b in raw] for a in raw]
+    gaps = np.where(linked, np.linalg.norm(ends[:, None] - starts[None, :], axis=-1), np.inf)
+    succ = gaps.argmin(axis=1).tolist()
+    order = [0]
     while True:
-        cur = raw[order[-1]]
-        p_end = ends[order[-1]]
-        j = cur.end_source
-        best, best_d = None, math.inf
-        for idx in unused + [order[0]]:
-            cand = raw[idx]
-            if cand.cap != j or cand.start_source != cur.cap:
-                continue
-            d = float(np.linalg.norm(starts[idx] - p_end))
-            if d < best_d:
-                best, best_d = idx, d
-        if best is None or best_d > 1e-7:
+        nxt = succ[order[-1]]
+        if gaps[order[-1], nxt] > 1e-7 or nxt in order[1:]:
             raise DegenerateGeometryError("boundary arcs do not chain into a closed curve")
-        if best == order[0]:
+        if nxt == 0:
             break
-        unused.remove(best)
-        order.append(best)
-    if unused:
+        order.append(nxt)
+    if len(order) < len(raw):
         raise DegenerateGeometryError("boundary has more than one component")
 
-    poles = body.poles
     arcs = [raw[idx] for idx in order]
+    points = ends[order]
+    cap_in = [arc.cap for arc in arcs]
+    cap_out = cap_in[1:] + cap_in[:1]
+    t_in = _unit_rows(_cross_rows(body.poles[cap_in], points))
+    t_out = _unit_rows(_cross_rows(body.poles[cap_out], points))
+    sines = _row_dots(points, _cross_rows(t_in, t_out)).tolist()
+    cosines = _row_dots(t_in, t_out).tolist()
     vertices = []
-    for pos, arc in enumerate(arcs):
-        nxt = arcs[(pos + 1) % len(arcs)]
-        p = ends[order[pos]]
-        t_in = _unit(np.cross(poles[arc.cap], p))
-        t_out = _unit(np.cross(poles[nxt.cap], p))
-        ext = math.atan2(float(p @ np.cross(t_in, t_out)), float(t_in @ t_out))
+    for point, sine, cosine, i, j in zip(points, sines, cosines, cap_in, cap_out):
+        ext = math.atan2(sine, cosine)
         if not 1e-12 < ext < math.pi - 1e-12:
-            raise DegenerateGeometryError(
-                f"exterior angle {ext} at a vertex outside (0, pi)"
-            )
-        vertices.append(
-            BoundaryVertex(point=p, exterior_angle=ext, caps=(arc.cap, nxt.cap))
-        )
+            raise DegenerateGeometryError(f"exterior angle {ext} at a vertex outside (0, pi)")
+        vertices.append(BoundaryVertex(point=point, exterior_angle=ext, caps=(i, j)))
     structure.arcs = arcs
     structure.vertices = vertices
     return structure
 
 
-def perimeter(body: CapBody, structure: BoundaryStructure | None = None) -> float:
-    """Boundary length: sum over arcs of sin(rho_i) * width."""
-    if structure is not None:
-        return sum(arc.length for arc in structure.arcs)
-    return float(_arc_block(_tables(body), body.radii[None, :]).perimeters[0])
+def perimeter(body: CapBody) -> float:
+    """Boundary length: sum over the boundary arcs of sin(rho_i) * width."""
+    return sum(arc.length for arc in body.structure.arcs)
 
 
-def area(body: CapBody, structure: BoundaryStructure | None = None) -> float:
+def area(body: CapBody) -> float:
     """Enclosed area by Gauss-Bonnet: 2 pi - sum cos(rho_i) dtheta_i - sum exterior angles."""
-    bs = structure if structure is not None else boundary_structure(body)
-    radii = body.radii
+    bs, radii = body.structure, body.radii
     turning = sum(math.cos(radii[arc.cap]) * arc.width for arc in bs.arcs)
     corners = sum(v.exterior_angle for v in bs.vertices)
     return TWO_PI - turning - corners
@@ -651,7 +658,7 @@ def incenter_and_inradius(body: CapBody) -> tuple[np.ndarray, float]:
 
 def inradius(body: CapBody) -> float:
     """Largest t for which the inner parallel set is nonempty."""
-    return incenter_and_inradius(body)[1]
+    return body.incircle[1]
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +705,7 @@ def hemisphere_witness(body: CapBody) -> tuple[np.ndarray, float]:
         s lies in that interior whenever the poles span R^3; if they do
         not, the interior is empty and no witness exists.
     """
-    structure = boundary_structure(body)
+    structure = body.structure
     w = _unit(np.sum(body.poles, axis=0))
     if not contains(body, -w):
         margin = min(_arc_min_dot(structure, arc, w) for arc in structure.arcs)
@@ -719,7 +726,7 @@ def distance_to_body_many(body: CapBody, points: np.ndarray) -> np.ndarray:
     Outside distances are the minimum over boundary arcs (meridian foot when
     it falls inside the feasible theta-range) and vertices.
     """
-    bs = boundary_structure(body)
+    bs = body.structure
     pts = np.asarray(points, dtype=float)
     dots = np.clip(pts @ body.poles.T, -1.0, 1.0)
     inside = np.all(np.arccos(dots) <= body.radii[None, :] + 1e-12, axis=1)
@@ -752,7 +759,8 @@ def random_body(seed: int, k: int) -> CapBody:
     Poles are sampled within angular distance _POLE_SPREAD of the north pole,
     radii uniformly in [0.6, pi/2]; draws repeat until the body has nonempty
     interior, a hemisphere witness, clean boundary structure, and perimeter
-    strictly below the equator length.
+    strictly below the equator length. The body returned holds its boundary
+    structure, incircle, perimeter and witness.
     """
     if not 3 <= k <= 12:
         raise GeometryError(f"k must lie in [3, 12], got {k}")
@@ -760,25 +768,19 @@ def random_body(seed: int, k: int) -> CapBody:
     for _ in range(_MAX_ATTEMPTS):
         poles = []
         for _ in range(k):
-            ang = rng.uniform(0.0, _POLE_SPREAD)
-            azi = rng.uniform(0.0, TWO_PI)
-            poles.append(
-                [
-                    math.sin(ang) * math.cos(azi),
-                    math.sin(ang) * math.sin(azi),
-                    math.cos(ang),
-                ]
-            )
+            ang, azi = rng.uniform(0.0, _POLE_SPREAD), rng.uniform(0.0, TWO_PI)
+            sin_ang = math.sin(ang)
+            poles.append([sin_ang * math.cos(azi), sin_ang * math.sin(azi), math.cos(ang)])
         radii = rng.uniform(0.6, HALF_PI, size=k)
         try:
             body = make_body(poles, radii)
-            bs = boundary_structure(body)
-            _, rin = incenter_and_inradius(body)
+            body.structure  # a degenerate boundary raises here, before the incircle
+            _, rin = body.incircle
             if rin < 1e-3:
                 continue
-            if perimeter(body, bs) > TWO_PI - 1e-3:
+            if body.perimeter > TWO_PI - 1e-3:
                 continue
-            _, margin = hemisphere_witness(body)
+            _, margin = body.witness
             if margin < 1e-3:
                 continue
             return body

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -126,7 +127,7 @@ def cmd_ball_eig(args) -> int:
 
 def _thm_for_body(item, betas, K, fem_level):
     name, body = item
-    capbody.hemisphere_witness(body)
+    body.witness  # a body without a hemisphere witness is an input error
     out = []
     profile = perimeter_profile(body, K)
     fem_results = {}
@@ -298,7 +299,9 @@ def _add_body_source(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and shared by later ones."""
     ap = argparse.ArgumentParser(prog="robinsphere", description=__doc__)
     ap.add_argument("--config", help="JSON config; explicit flags override it")
     sub = ap.add_subparsers(dest="command")
@@ -351,15 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Expand --config into flags placed before the explicit ones.
 
     argparse keeps the last occurrence of a repeated flag, so anything typed
     on the command line overrides the config document.
     """
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
+    known, rest = _config_parser().parse_known_args(argv)
     if not known.config:
         return ap.parse_args(argv)
     with open(known.config, "r", encoding="utf-8") as fh:

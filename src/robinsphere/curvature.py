@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from robinsphere.capbody import BoundaryStructure, CapBody, area, boundary_structure, perimeter
+from robinsphere.capbody import CapBody
 from robinsphere.errors import GeometryError
 from robinsphere.spaceform import HALF_PI, sigma
 
@@ -34,13 +34,11 @@ class CurvatureMeasures:
     phi2: float
 
 
-def compute_measures(body: CapBody, structure: BoundaryStructure | None = None) -> CurvatureMeasures:
-    bs = structure if structure is not None else boundary_structure(body)
-    phi1 = perimeter(body, bs)
-    phi2 = area(body, bs)
+def compute_measures(body: CapBody) -> CurvatureMeasures:
+    bs = body.structure
     phi0 = sum(arc.geodesic_curvature * arc.length for arc in bs.arcs)
     phi0 += sum(v.exterior_angle for v in bs.vertices)
-    return CurvatureMeasures(phi0=phi0, phi1=phi1, phi2=phi2)
+    return CurvatureMeasures(phi0=phi0, phi1=body.perimeter, phi2=body.area)
 
 
 def _check_reach_guard(s: float) -> None:

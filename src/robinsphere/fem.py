@@ -44,15 +44,15 @@ class GeodesicMesh:
 
     vertices lie on the sphere; triangles are positively oriented index
     triples; boundary_edges run along the boundary, and boundary_lengths are
-    their exact arc lengths. corner_sine is sin(theta/2) at the sharpest
-    boundary corner of interior angle theta (1 without corners), at least 0.05.
+    their exact arc lengths. level counts the midpoint subdivisions of the
+    fan. corner_sine is sin(theta/2) at the sharpest boundary corner of
+    interior angle theta (1 without corners), at least 0.05.
     """
 
     vertices: np.ndarray  # (N, 3)
     triangles: np.ndarray  # (M, 3) int
     boundary_edges: np.ndarray  # (B, 2) int
     boundary_lengths: np.ndarray  # (B,)
-    h: float
     level: int
     corner_sine: float
 
@@ -79,8 +79,8 @@ def mesh_body(body: CapBody, level: int) -> GeodesicMesh:
     """
     if not 0 <= level <= 6:
         raise GeometryError(f"refinement level must lie in [0, 6], got {level}")
-    bs = capbody.boundary_structure(body)
-    center, _ = capbody.incenter_and_inradius(body)
+    bs = body.structure
+    center, _ = body.incircle
 
     # boundary edge i lies on circle caps[i] between angles t0[i] and t1[i]; arc
     # endpoints are shared with the next arc (polygon) or wrap (full circle)
@@ -131,11 +131,6 @@ def mesh_body(body: CapBody, level: int) -> GeodesicMesh:
     flip = dets < 0.0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    edges = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    )
-    h = float(np.max(np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)))
-
     # a corner of exterior angle ext has interior angle theta = pi - ext
     corner = min((math.cos(0.5 * v.exterior_angle) for v in bs.vertices), default=1.0)
     return GeodesicMesh(
@@ -143,7 +138,6 @@ def mesh_body(body: CapBody, level: int) -> GeodesicMesh:
         triangles=triangles,
         boundary_edges=bedges,
         boundary_lengths=np.sin(bs.radii[caps]) * (t1 - t0),
-        h=h,
         level=level,
         corner_sine=max(0.05, corner),
     )

@@ -74,7 +74,7 @@ def perimeter_profile(body: CapBody, K: int = 512) -> PerimeterProfile:
     """
     if K < 64:
         raise GeometryError(f"profile needs K >= 64 grid panels, got {K}")
-    _, rin = capbody.incenter_and_inradius(body)
+    rin = body.incircle[1]
     ts = np.linspace(0.0, rin * (1.0 - _EDGE_TRIM), K + 1)
     ps, starts = capbody._perimeter_pieces(body, ts)
     return PerimeterProfile(inradius=rin, ts=ts, ps=ps, piece_starts=ts[starts].tolist())
@@ -211,9 +211,7 @@ def transplant_rayleigh(
     first-order endpoint error of the trapezoid rule would swamp the
     comparison tolerance on near-ball bodies.
     """
-    structure = capbody.boundary_structure(body)
-    P = perimeter(body, structure)
-    A = capbody.area(body, structure)
+    P, A = perimeter(body), capbody.area(body)
     R = radius_from_perimeter(2, P)
     problem = RobinBallProblem(2, R, beta)
     pair = first_eigenvalue(problem)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -439,7 +441,7 @@ def scalar_perimeter(body):
     circle and one cap at a time; used as its reference.
     """
     poles, radii = body.poles, body.radii.tolist()
-    frames = capbody._tables(body).frames
+    frames = body.tables.frames
     total, arcs, full = 0.0, 0, False
     for i, (u, v, n) in enumerate(frames):
         si, ci = math.sin(radii[i]), math.cos(radii[i])
@@ -518,9 +520,12 @@ def cap_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(cap_sets())
 def test_kernel_matches_scalar_reference(body):
-    """Arbitrary cap sets, accepted or rejected, including empty and redundant caps."""
+    """Arbitrary cap sets, accepted or rejected, including empty and redundant caps.
+
+    The kernel row alone is compared: ``perimeter`` sums the arcs of the chained
+    boundary structure, which also rejects arcs that do not chain."""
     ref = outcome(scalar_perimeter, body)
-    got = outcome(perimeter, body)
+    got = outcome(lambda: float(batched_kernel_perimeters(body, [0.0])[0]))
     if isinstance(ref, float):
         assert got == pytest.approx(ref, abs=1e-12)
     else:
@@ -570,7 +575,7 @@ def test_kernel_rejects_like_per_t_oracle_where_an_edge_vanishes():
 def batched_kernel_perimeters(body, ts):
     """The untracked kernel on every row at once: the oracle of the tracked profile."""
     radii = body.radii[None, :] - np.asarray(ts)[:, None]
-    return capbody._arc_block(capbody._tables(body), radii).perimeters
+    return capbody._arc_block(body.tables, radii).perimeters
 
 
 @settings(max_examples=150, deadline=None)
@@ -639,6 +644,83 @@ def test_tracked_profile_in_any_order_of_distances(small_corpus):
         for order in (ts[::-1], rng.permutation(ts)):
             got = inner_parallel_perimeters(body, order)
             assert np.max(np.abs(got - batched_kernel_perimeters(body, order))) <= 1e-13
+
+
+# --- geometry held on the body ---------------------------------------------
+
+# each quantity a body holds, and the module function that computes it afresh
+HELD = {
+    "tables": lambda body: capbody._PoleTables(body.poles),
+    "structure": boundary_structure,
+    "incircle": incenter_and_inradius,
+    "perimeter": perimeter,
+    "area": area,
+    "witness": hemisphere_witness,
+}
+
+
+def bits(value):
+    """A form of ``value`` that compares equal only when every float is bit-identical."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    if isinstance(value, capbody._PoleTables):
+        return [bits(getattr(value, name)) for name in value.__slots__]
+    if dataclasses.is_dataclass(value):
+        return [bits(getattr(value, field.name)) for field in dataclasses.fields(value)]
+    return value
+
+
+@settings(max_examples=100, deadline=None)
+@given(cap_sets())
+def test_held_geometry_equals_a_fresh_computation(body):
+    """Accepted or rejected: a held quantity is kept after the first read, and a
+    failing one raises the same error type at every read."""
+    for name, compute in HELD.items():
+        held = outcome(getattr, body, name)
+        fresh = outcome(compute, CapBody(body.constraints))
+        assert bits(held) == bits(fresh), name
+        if isinstance(held, type):
+            assert outcome(getattr, body, name) is held
+            assert name not in vars(body)
+        else:
+            assert getattr(body, name) is held
+
+
+def test_held_geometry_leaves_equality_and_hash_alone(small_corpus):
+    for _, body in small_corpus:
+        twin = CapBody(body.constraints)
+        assert "structure" in vars(body) and "structure" not in vars(twin)
+        assert twin == body and hash(twin) == hash(body)
+        for name in HELD:
+            getattr(twin, name)
+        assert twin == body and hash(twin) == hash(body)
+        assert twin != inner_parallel(twin, 0.01)
+
+
+def test_held_geometry_survives_pickle(octant, small_corpus):
+    for body in (CapBody(octant.constraints), small_corpus[4][1]):
+        for name in HELD:
+            getattr(body, name)
+        back = pickle.loads(pickle.dumps(body))
+        assert back == body
+        for name in HELD:
+            assert name in vars(back)
+            assert bits(getattr(back, name)) == bits(getattr(body, name)), name
+
+
+def test_lune_holds_structure_and_perimeter_but_no_witness():
+    lune = make_body([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [math.pi / 2] * 2)
+    assert len(lune.structure.arcs) == 2 and len(lune.structure.vertices) == 2
+    assert lune.perimeter == pytest.approx(2 * math.pi, abs=1e-12)
+    assert lune.area == pytest.approx(math.pi, abs=1e-12)
+    assert lune.incircle[1] == pytest.approx(math.pi / 4, abs=1e-12)
+    for _ in range(2):
+        with pytest.raises(GeometryError, match="no hemisphere witness"):
+            lune.witness
 
 
 # --- invariances of the batched profile, lambda_ball and rq --------------------

@@ -1,9 +1,11 @@
 import json
 import math
 import time
+from collections import Counter
 
 import pytest
 
+from robinsphere import capbody, cli
 from robinsphere.capbody import corpus_body, dumps_body, octant_fixture
 from robinsphere.cli import _load_bodies, build_parser, main, parse_beta
 from robinsphere.fem import calibrated_ball_error
@@ -284,3 +286,71 @@ def test_exit_code_on_verification_failure(capsys):
     failing.add("forced failure", 1.0, 0.0, -1.0, False)
     assert _emit_reports(Args(), [failing], []) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_shared_parser_matches_a_fresh_one(tmp_path, capsys):
+    """Successive main calls share one parser; each gives the stdout, stderr,
+    files and exit code that a freshly built parser gives."""
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "verify-thm1", "fixture": "octant", "k": 128}))
+    runs = [
+        ["ball-eig", "--r", "0.8", "--beta", "-1"],
+        ["--config", str(cfg), "--betas=-0.5", "--json", "{out}/config.json"],
+        ["verify-thm2", "--fixture", "cap:0.9", "--k", "128", "--csv", "{out}/cap.csv"],
+        ["verify-thm1", "--betas", "-1"],  # no body source: an input error
+        ["--config", str(cfg), "--k", "64", "--json", "{out}/override.json"],
+        ["steiner-check", "--fixture", "octant", "--json", "{out}/steiner.json"],
+        ["ball-eig", "--r", "0.8", "--beta", "nan"],
+    ]
+
+    def run_all(out, fresh):
+        out.mkdir()
+        results = []
+        for argv in runs:
+            if fresh:
+                cli.build_parser.cache_clear()
+                cli._config_parser.cache_clear()
+            code = main([arg.format(out=out) for arg in argv])
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    shared = run_all(tmp_path / "shared", fresh=False)
+    fresh = run_all(tmp_path / "fresh", fresh=True)
+    assert [code for code, _, _ in shared[0]] == [0, 0, 0, 2, 0, 0, 2]
+    assert len(shared[1]) == 4
+    assert shared == fresh
+
+
+def test_verify_builds_each_body_geometry_once(monkeypatch):
+    """One verify-thm2 item with the FEM oracle builds its body's boundary
+    structure, incircle and hemisphere witness once each; the FEM calibration's
+    cap is built before the count starts."""
+    calibrated_ball_error(2, -1.0)
+    calls = Counter()
+
+    def counted(name):
+        build = getattr(capbody, name)
+
+        def wrapper(body):
+            calls[name, body] += 1
+            return build(body)
+
+        return wrapper
+
+    names = ("boundary_structure", "incenter_and_inradius", "hemisphere_witness")
+    for name in names:
+        monkeypatch.setattr(capbody, name, counted(name))
+    assert main(["verify-thm2", "--random", "5", "1", "--betas=-1", "--fem-level", "2"]) == 0
+    monkeypatch.undo()
+    body = corpus_body(5)[1]
+    assert {name: calls[name, body] for name in names} == dict.fromkeys(names, 1)
+
+
+def test_body_without_hemisphere_witness_is_input_error(tmp_path, capsys):
+    # a lune has a boundary and a perimeter, but its poles span only a plane
+    path = tmp_path / "lune.txt"
+    path.write_text(f"1 0 0 {math.pi / 2!r}\n0 1 0 {math.pi / 2!r}\n")
+    assert main(["verify-thm1", "--body-file", str(path), "--k", "512"]) == 2
+    assert "no hemisphere witness" in capsys.readouterr().err

@@ -64,7 +64,7 @@ def test_profile_matches_per_t_oracle_at_every_node(octant):
         prof = perimeter_profile(body, K=512)
         assert (len(prof.piece_starts) > 1) == (name in multi), name
         radii = body.radii[None, :] - prof.ts[:, None]
-        batched = capbody._arc_block(capbody._tables(body), radii).perimeters
+        batched = capbody._arc_block(body.tables, radii).perimeters
         assert np.max(np.abs(prof.ps - batched)) <= 1e-13, name
         if name in multi or name in ("octant", "cap-0.9"):
             oracle = [
