@@ -405,6 +405,11 @@ def main(argv: list[str] | None = None) -> int:
     except (GeometryError, SolverError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        # an input too large to process, such as a body with hundreds of caps
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from robinsphere import capbody
 from robinsphere.capbody import CapBody, perimeter
@@ -171,6 +170,44 @@ def comparison_solve(ts, fs, F, g0: float) -> tuple[np.ndarray, VerificationRepo
     return gs, report
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule for samples y at strictly increasing nodes x.
+
+    Equals ``scipy.integrate.simpson(y, x=x)`` bit for bit on 1-D grids of at
+    least three nodes, by the same operations in the same order. Each pair of
+    panels gets the parabola through its three nodes. With an even number of
+    nodes the last panel is closed by Cartwright's correction, a parabola
+    through the last three nodes integrated over the last panel alone.
+    scipy's guards against zero spacings are left out: the profile grids are
+    ``linspace(0, rin (1 - _EDGE_TRIM), K + 1)`` with rin > 0 and K >= 64.
+    Importing scipy.integrate would load scipy.optimize and its dependencies
+    into every process for these few array operations.
+    """
+    n = len(y)
+    m = n if n % 2 else n - 1  # nodes covered by pairs of panels
+    h = np.diff(x)
+    h0, h1 = h[0:m - 2:2], h[1:m - 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    result = np.sum(
+        hsum / 6.0 * (
+            y[0:m - 2:2] * (2.0 - 1.0 / h0divh1)
+            + y[1:m - 1:2] * (hsum * (hsum / hprod))
+            + y[2:m:2] * (2.0 - h0divh1)
+        )
+    )
+    if n % 2 == 0:
+        # 0-d arrays, as in scipy: numpy rounds h**2 and h**3 of a float64
+        # scalar differently in some last bits
+        h0, h1 = h[-2, ...], h[-1, ...]
+        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1**3 / (6 * h0 * (h0 + h1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(result)
+
+
 @dataclass
 class TransplantResult:
     """Everything the transplantation produces for one (body, beta) pair."""
@@ -227,11 +264,11 @@ def transplant_rayleigh(
     boundary_term_body = phi0 * phi0 * P
     boundary_term_ball = phi0 * phi0 * ball_perimeter(2, R)
 
-    num_body = float(simpson(dphi**2 * ps, x=ts)) + beta * boundary_term_body
-    den_body = float(simpson(phi**2 * ps, x=ts))
+    num_body = _simpson(dphi**2 * ps, ts) + beta * boundary_term_body
+    den_body = _simpson(phi**2 * ps, ts)
     ball_ps = sigma(2) * np.sin(R - ts)
-    num_ball = float(simpson(dphi**2 * ball_ps, x=ts)) + beta * boundary_term_ball
-    den_ball = float(simpson(phi**2 * ball_ps, x=ts))
+    num_ball = _simpson(dphi**2 * ball_ps, ts) + beta * boundary_term_ball
+    den_ball = _simpson(phi**2 * ball_ps, ts)
 
     u_m, l2sq = u_min_and_l2(pair, problem)
 

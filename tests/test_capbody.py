@@ -82,6 +82,24 @@ def test_constraint_validation():
         CapBody(())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_poles_rejected(bad):
+    # abs(norm - 1) > 1e-12 is False for a nan norm, so it let these through
+    with pytest.raises(GeometryError, match="finite"):
+        CapConstraint((bad, 0.0, 1.0), 1.0)
+    with pytest.raises(GeometryError, match="finite"):
+        make_body([[0.0, 0.0, 1.0], [bad, 0.0, 1.0]], [1.0, 1.0])
+
+
+def test_nan_inradius_counts_as_empty(monkeypatch):
+    def nan_slacks(poles, radii, points):
+        return np.full((len(points), len(radii)), np.nan)
+
+    monkeypatch.setattr(capbody, "_slacks", nan_slacks)
+    with pytest.raises(EmptyInteriorError):
+        incenter_and_inradius(cap_fixture(1.0))
+
+
 def test_contains_octant(octant):
     assert contains(octant, np.ones(3) / SQ3)
     assert not contains(octant, [-1.0, 0.0, 0.0])
@@ -450,7 +468,8 @@ def scalar_perimeter(body):
             if j == i:
                 continue
             a, b = si * float(u @ poles[j]), si * float(v @ poles[j])
-            c = math.cos(radii[j]) - ci * float(n @ poles[j])
+            g = float(n @ poles[j])
+            c = math.cos(radii[j]) - ci * g
             A = math.hypot(a, b)
             if A <= 1e-13:
                 if abs(c) <= capbody._TANGENCY_TOL:
@@ -466,6 +485,9 @@ def scalar_perimeter(body):
                 outside = True
                 break
             if r >= -1.0:
+                cos_psi = (g - ci * math.cos(radii[j])) / (si * math.sin(radii[j]))
+                if 1.0 - cos_psi * cos_psi < capbody._MIN_CROSSING_SINE**2:
+                    raise DegenerateGeometryError("circles cross at a shallow angle")
                 coeffs.append((A, math.atan2(b, a), c))
         if outside:
             continue
@@ -592,6 +614,25 @@ def test_tracked_profile_matches_batched_kernel(body):
         assert np.max(np.abs(got - ref)) <= 1e-13
     else:
         assert got is ref
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.3125])
+def test_circles_crossing_at_a_shallow_angle_are_rejected_alike(rho):
+    """Caps 2 and 4 have equal radii and poles 5.96e-8 apart, so their circles
+    cross at an angle near 1e-7. Their crossings are ill-conditioned, and the
+    kernel used to accept the rows while the tracked profile saw the arcs
+    change from row to row."""
+    d = 5.96e-8
+    body = make_body(
+        [[0, 0, 1], [0, 0, 1], [0, 0, 1], [0.68, 0, 0.73], [math.sin(d), 0, math.cos(d)]],
+        [1.5, 1.0, rho, 1.0, rho],
+    )
+    ts = np.linspace(0.0, 0.99 * inradius(body), 257)
+    assert outcome(batched_kernel_perimeters, body, ts) is DegenerateGeometryError
+    assert outcome(inner_parallel_perimeters, body, ts) is DegenerateGeometryError
+    assert outcome(scalar_perimeter, body) is DegenerateGeometryError
+    with pytest.raises(DegenerateGeometryError, match="caps 2 and 4 cross at an angle"):
+        boundary_structure(body)
 
 
 def test_tracking_raises_when_the_kernel_sees_other_arcs_at_a_piece_end(monkeypatch):

@@ -354,3 +354,24 @@ def test_body_without_hemisphere_witness_is_input_error(tmp_path, capsys):
     path.write_text(f"1 0 0 {math.pi / 2!r}\n0 1 0 {math.pi / 2!r}\n")
     assert main(["verify-thm1", "--body-file", str(path), "--k", "512"]) == 2
     assert "no hemisphere witness" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["steiner-check", "af-check", "profile", "verify-thm1"])
+def test_non_finite_pole_is_input_error(command, tmp_path, capsys):
+    # steiner-check and af-check used to pass this body, and profile blamed
+    # the parallel distances
+    path = tmp_path / "nan.txt"
+    path.write_text("nan 0 1 1.0\n")
+    assert main([command, "--body-file", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+
+
+def test_out_of_memory_is_input_error(monkeypatch, capsys):
+    def out_of_memory(body):
+        raise MemoryError("Unable to allocate 11.8 GiB")
+
+    monkeypatch.setattr(capbody, "incenter_and_inradius", out_of_memory)
+    assert main(["verify-thm1", "--fixture", "octant", "--k", "64"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: out of memory: Unable to allocate 11.8 GiB"]

@@ -1,9 +1,15 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
+import robinsphere
 from robinsphere import capbody
 from robinsphere.capbody import (
     cap_fixture,
@@ -14,6 +20,7 @@ from robinsphere.capbody import (
 )
 from robinsphere.errors import GeometryError
 from robinsphere.parallel import (
+    _simpson,
     comparison_solve,
     grid_tolerance,
     ode_inequality_check,
@@ -188,6 +195,35 @@ def test_transplant_grid_refinement_stability(octant):
     r1 = transplant_rayleigh(octant, -1.0, K=2048)
     r2 = transplant_rayleigh(octant, -1.0, K=4096)
     assert abs(r2.rq - r1.rq) / abs(r1.rq) < 1e-6
+
+
+@pytest.mark.parametrize("K", [64, 65, 512, 4095, 4096])
+def test_simpson_equals_scipy_bit_for_bit(K):
+    """K panels: odd K gives an even node count, which scipy closes with
+    Cartwright's last-panel correction."""
+    rng = np.random.default_rng(K)
+    grids = [
+        np.linspace(0.0, 1.3, K + 1),
+        np.cumsum(rng.uniform(0.01, 1.0, K + 1)),
+        perimeter_profile(corpus_body(30)[1], K).ts,
+    ]
+    for x in grids:
+        for y in (rng.standard_normal(K + 1), np.cos(x) ** 2 * x, 1e3 * np.exp(-5.0 * x)):
+            assert _simpson(y, x) == float(simpson(y, x=x))
+
+
+def test_cli_import_loads_no_scipy_integrate_or_optimize():
+    code = (
+        "import sys, robinsphere.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    # the child imports the package this process imported
+    src = str(Path(robinsphere.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # --- theorem pipelines -------------------------------------------------------
