@@ -23,6 +23,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +41,7 @@ from robinsphere.curvature import (
 from robinsphere.errors import GeometryError, SolverError
 from robinsphere.halfspace import nonconvexity_witness
 from robinsphere.parallel import (
+    csv_row,
     ode_inequality_check,
     perimeter_profile,
     thm1_verify,
@@ -135,31 +137,13 @@ def _thm_for_body(item, betas, K, fem_level):
         for beta in betas:
             fem_results[beta] = fem.solve_body(body, beta, fem_level)
     for beta in betas:
-        res = transplant_rayleigh(body, beta, profile=profile)
-        r1 = thm1_verify(body, beta, transplant=res)
-        r1.name = f"thm1[{name}, beta={beta}]"
+        res = transplant_rayleigh(body, beta, profile)
         fem_res = fem_results.get(beta)
-        r2 = thm2_verify(body, beta, transplant=res, fem=fem_res)
+        r1 = thm1_verify(res)
+        r1.name = f"thm1[{name}, beta={beta}]"
+        r2 = thm2_verify(res, fem=fem_res)
         r2.name = f"thm2[{name}, beta={beta}]"
-        row = {
-            "body_id": name,
-            "beta": beta,
-            "perimeter": res.body_perimeter,
-            "area": res.body_area,
-            "inradius": res.profile.inradius,
-            "lambda_ball": res.lambda_ball,
-            "rq": res.rq,
-            "lambda_fem": fem_res.lambda_h if fem_res is not None else None,
-            "res_volume": r1.checks[0].residual,
-            "res_inradius": r1.checks[1].residual,
-            "res_profile": r1.checks[2].residual,
-            "res_numerator": r1.checks[3].residual,
-            "res_quotient": r1.checks[4].residual,
-            "res_thm2": r2.checks[1].residual if len(r2.checks) > 1 else float("nan"),
-            "pass_thm1": r1.overall,
-            "pass_thm2": r2.overall,
-        }
-        out.append((r1, r2, row))
+        out.append((r1, r2, csv_row(name, res, r1, r2, fem_res)))
     return out
 
 
@@ -171,8 +155,11 @@ def _run_thm(args, which: str) -> int:
             raise GeometryError(f"theorem pipelines need beta < 0, got {beta}")
     fem_level = args.fem_level if args.fem_level >= 0 else None
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all its workers at the first task, so never ask for more
+    # than there are bodies or CPUs
+    workers = min(args.jobs, len(bodies), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     _thm_for_body,
@@ -188,10 +175,7 @@ def _run_thm(args, which: str) -> int:
     reports, rows = [], []
     for per_body in results:
         for r1, r2, row in per_body:
-            if which in ("thm1", "both"):
-                reports.append(r1)
-            if which in ("thm2", "both"):
-                reports.append(r2)
+            reports.append(r1 if which == "thm1" else r2)
             rows.append(row)
     return _emit_reports(args, reports, rows)
 

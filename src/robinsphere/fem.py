@@ -29,11 +29,10 @@ from robinsphere.errors import GeometryError, SolverError
 _BASE_SPACING = 0.2
 _MIN_FULL_CIRCLE_POINTS = 16
 
-# inverse iteration: relative residual target, iterations per start vector,
-# and start vectors (the constant, then random ones)
+# inverse iteration from the constant vector: relative residual target and
+# iteration limit
 _RESIDUAL_TOL = 1e-10
 _MAX_ITER = 500
-_RESTARTS = 3
 
 _CALIBRATION_RADIUS = 1.0
 
@@ -194,26 +193,21 @@ def assemble_and_solve(mesh: GeodesicMesh, beta: float) -> DiscreteEigResult:
 
     norm_a = float(np.max(np.abs(A).sum(axis=1)))
     norm_m = float(np.max(np.abs(M).sum(axis=1)))
-    rng = np.random.default_rng(12345)
 
     def iterate(sigma_shift: float):
         lu = splu(csc_matrix(A - sigma_shift * M))
-        n = A.shape[0]
-        x = np.ones(n)
-        for attempt in range(_RESTARTS):
-            if attempt > 0:
-                x = rng.standard_normal(n)
-            x = x / math.sqrt(float(x @ (M @ x)))
-            for _ in range(_MAX_ITER):
-                y = lu.solve(M @ x)
-                y = y / math.sqrt(float(y @ (M @ y)))
-                lam = float(y @ (A @ y))
-                r = A @ y - lam * (M @ y)
-                scale = (norm_a + abs(lam) * norm_m) * float(np.linalg.norm(y)) + 1e-300
-                resid = float(np.linalg.norm(r)) / scale
-                x = y
-                if resid <= _RESIDUAL_TOL:
-                    return lam, resid
+        x = np.ones(A.shape[0])
+        x = x / math.sqrt(float(x @ (M @ x)))
+        for _ in range(_MAX_ITER):
+            y = lu.solve(M @ x)
+            y = y / math.sqrt(float(y @ (M @ y)))
+            lam = float(y @ (A @ y))
+            r = A @ y - lam * (M @ y)
+            scale = (norm_a + abs(lam) * norm_m) * float(np.linalg.norm(y)) + 1e-300
+            resid = float(np.linalg.norm(r)) / scale
+            x = y
+            if resid <= _RESIDUAL_TOL:
+                return lam, resid
         raise SolverError("inverse iteration did not converge")
 
     # Start below the crude variational bound beta P / |body|, additionally

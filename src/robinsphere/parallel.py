@@ -63,7 +63,7 @@ class PerimeterProfile:
     piece_starts: list[float]
 
 
-def perimeter_profile(body: CapBody, K: int = 512) -> PerimeterProfile:
+def perimeter_profile(body: CapBody, K: int) -> PerimeterProfile:
     """Exact perimeters of the inner parallel sets on a uniform grid.
 
     K is the number of grid panels (K + 1 nodes); at least 64 are required
@@ -210,12 +210,12 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 
 @dataclass
 class TransplantResult:
-    """Everything the transplantation produces for one (body, beta) pair."""
+    """What the two theorem checks read of the transplant for one (body, beta) pair."""
 
+    beta: float
     rq: float
     lambda_ball: float
     ball_radius: float
-    ball_perimeter: float
     ball_volume: float
     body_perimeter: float
     body_area: float
@@ -223,38 +223,32 @@ class TransplantResult:
     eigenpair: RadialEigenpair
     numerator_body: float
     numerator_ball: float
-    denominator_body: float
-    denominator_ball: float
     boundary_term_body: float
     boundary_term_ball: float
     u_min: float
     u_l2sq: float
 
 
-def transplant_rayleigh(
-    body: CapBody,
-    beta: float,
-    K: int = 4096,
-    profile: PerimeterProfile | None = None,
-) -> TransplantResult:
+def transplant_rayleigh(body: CapBody, beta: float, profile: PerimeterProfile) -> TransplantResult:
     """Rayleigh quotient of the test function phi(d(., boundary)) on the body.
 
     phi is the radial eigenfunction of the equal-perimeter geodesic ball,
     written as a function of the distance from the boundary, phi(t) =
-    psi(R - t); phi and phi' are evaluated at the profile nodes straight from
-    its Legendre coefficients. The profile integrals use composite
-    Simpson on the shared grid: the derivative integrand carries a boundary
-    layer of amplitude ~ beta^2 for strongly negative beta, and the
-    first-order endpoint error of the trapezoid rule would swamp the
-    comparison tolerance on near-ball bodies.
+    psi(R - t); phi and phi' are evaluated at the nodes of the body's
+    ``profile`` straight from its Legendre coefficients. The profile
+    integrals use composite Simpson on the shared grid: the derivative
+    integrand carries a boundary layer of amplitude ~ beta^2 for strongly
+    negative beta, and the first-order endpoint error of the trapezoid rule
+    would swamp the comparison tolerance on near-ball bodies. The two
+    theorems compare the body with the ball for beta < 0 only, so beta is
+    checked here, where it enters the pipeline.
     """
+    if beta >= 0.0:
+        raise GeometryError(f"the comparison pipeline needs beta < 0, got {beta}")
     P, A = perimeter(body), capbody.area(body)
     R = radius_from_perimeter(2, P)
     problem = RobinBallProblem(2, R, beta)
     pair = first_eigenvalue(problem)
-
-    if profile is None:
-        profile = perimeter_profile(body, K)
     ts, ps = profile.ts, profile.ps
 
     phi = pair.psi(R - ts)
@@ -268,15 +262,14 @@ def transplant_rayleigh(
     den_body = _simpson(phi**2 * ps, ts)
     ball_ps = sigma(2) * np.sin(R - ts)
     num_ball = _simpson(dphi**2 * ball_ps, ts) + beta * boundary_term_ball
-    den_ball = _simpson(phi**2 * ball_ps, ts)
 
     u_m, l2sq = u_min_and_l2(pair, problem)
 
     return TransplantResult(
+        beta=beta,
         rq=float(num_body / den_body),
         lambda_ball=pair.lam,
         ball_radius=R,
-        ball_perimeter=ball_perimeter(2, R),
         ball_volume=ball_volume(R),
         body_perimeter=float(P),
         body_area=float(A),
@@ -284,8 +277,6 @@ def transplant_rayleigh(
         eigenpair=pair,
         numerator_body=num_body,
         numerator_ball=num_ball,
-        denominator_body=den_body,
-        denominator_ball=den_ball,
         boundary_term_body=boundary_term_body,
         boundary_term_ball=boundary_term_ball,
         u_min=u_m,
@@ -293,41 +284,27 @@ def transplant_rayleigh(
     )
 
 
-def _equality_tol(result: TransplantResult) -> float:
-    """Equality-flag tolerance of thm1: grid_tolerance(dt) * (1 + |lambda_ball|).
-
-    On cap fixtures every compared pair agrees: area and ball volume,
-    inradius and ball radius, the two profiles, and rq and lambda_ball. Measured
-    at K = 4096 for R in {0.5, 0.9, 1.3, 1.5} and beta in {-0.5, -1, -5}, the
-    largest gap is 4.2e-5 (1 + |lambda_ball|) dt^2, between rq and
-    lambda_ball. The grid factor 10 keeps a wide margin over that. The two gradient terms, which scale with psi's
-    normalisation, are flagged against _GRADIENT_TOL relative instead.
-    """
-    dt = float(result.profile.ts[1] - result.profile.ts[0])
-    return grid_tolerance(dt) * (1.0 + abs(result.lambda_ball))
-
-
-def thm1_verify(
-    body: CapBody,
-    beta: float,
-    K: int = 4096,
-    transplant: TransplantResult | None = None,
-) -> VerificationReport:
+def thm1_verify(res: TransplantResult) -> VerificationReport:
     """Four-check pipeline for the eigenvalue comparison with the equal-perimeter ball.
 
     Checks, in order: volume and inradius domination, profile domination at
     every grid node, domination of the gradient-term integral, and the
     Rayleigh quotient against the ball eigenvalue. Equality flags light up
     (within a discretization-aware tolerance) only when the body is a ball.
-    """
-    if beta >= 0.0:
-        raise GeometryError(f"the comparison pipeline needs beta < 0, got {beta}")
-    res = transplant if transplant is not None else transplant_rayleigh(body, beta, K=K)
-    report = VerificationReport(name="thm1")
-    eq_tol = _equality_tol(res)
 
-    dt = float(res.profile.ts[1] - res.profile.ts[0])
-    tol_grid = grid_tolerance(dt)
+    The equality tolerance is grid_tolerance(dt) * (1 + |lambda_ball|). On
+    cap fixtures every compared pair agrees: area and ball volume, inradius
+    and ball radius, the two profiles, and rq and lambda_ball. Measured at
+    K = 4096 for R in {0.5, 0.9, 1.3, 1.5} and beta in {-0.5, -1, -5}, the
+    largest gap is 4.2e-5 (1 + |lambda_ball|) dt^2, between rq and
+    lambda_ball. The grid factor 10 keeps a wide margin over that. The two
+    gradient terms, which scale with psi's normalisation, are flagged
+    against _GRADIENT_TOL relative instead.
+    """
+    beta = res.beta
+    report = VerificationReport(name="thm1")
+    tol_grid = grid_tolerance(float(res.profile.ts[1] - res.profile.ts[0]))
+    eq_tol = tol_grid * (1.0 + abs(res.lambda_ball))
 
     report.add(
         description="|body| <= |ball| (isoperimetric, equal perimeter)",
@@ -398,13 +375,7 @@ def thm1_verify(
     return report
 
 
-def thm2_verify(
-    body: CapBody,
-    beta: float,
-    K: int = 4096,
-    transplant: TransplantResult | None = None,
-    fem: DiscreteEigResult | None = None,
-) -> VerificationReport:
+def thm2_verify(res: TransplantResult, fem: DiscreteEigResult | None = None) -> VerificationReport:
     """Quantitative stability pipeline: quotient against the volume-corrected bound.
 
     With c = u_min^2 / |u|_L2^2 and dV = |ball| - |body| it checks
@@ -415,9 +386,7 @@ def thm2_verify(
     ball at the same level and beta (``calibrated_ball_error``), which the
     report records as ``fem_rel_tol``.
     """
-    if beta >= 0.0:
-        raise GeometryError(f"the comparison pipeline needs beta < 0, got {beta}")
-    res = transplant if transplant is not None else transplant_rayleigh(body, beta, K=K)
+    beta = res.beta
     report = VerificationReport(name="thm2")
 
     c = res.u_min**2 / res.u_l2sq
@@ -472,3 +441,37 @@ def thm2_verify(
         report.extras["fem_ratio"] = ratio
         report.extras["fem_rel_tol"] = rel_tol
     return report
+
+
+def csv_row(
+    body_id: str,
+    res: TransplantResult,
+    thm1: VerificationReport,
+    thm2: VerificationReport,
+    fem: DiscreteEigResult | None,
+) -> dict:
+    """One row of the corpus CSV (``report.CSV_COLUMNS``) for a (body, beta) pair.
+
+    The residual columns follow the order in which ``thm1_verify`` and
+    ``thm2_verify`` add their checks. thm2's quotient check comes after its
+    guard and is missing when the guard fails; its column is then NaN.
+    """
+    volume, inradius, profile, numerator, quotient = thm1.checks
+    return {
+        "body_id": body_id,
+        "beta": res.beta,
+        "perimeter": res.body_perimeter,
+        "area": res.body_area,
+        "inradius": res.profile.inradius,
+        "lambda_ball": res.lambda_ball,
+        "rq": res.rq,
+        "lambda_fem": fem.lambda_h if fem is not None else None,
+        "res_volume": volume.residual,
+        "res_inradius": inradius.residual,
+        "res_profile": profile.residual,
+        "res_numerator": numerator.residual,
+        "res_quotient": quotient.residual,
+        "res_thm2": thm2.checks[1].residual if len(thm2.checks) > 1 else float("nan"),
+        "pass_thm1": thm1.overall,
+        "pass_thm2": thm2.overall,
+    }

@@ -121,7 +121,7 @@ def test_criterion_5_thm1_pipeline(corpus, transplants):
         is_ball = alexandrov_fenchel_gap(compute_measures(body)) <= BALL_GAP_TOL
         for beta in BETAS:
             res = transplants[(name, beta)]
-            report = thm1_verify(body, beta, transplant=res)
+            report = thm1_verify(res)
             ok = ok and report.overall
             ok = ok and (res.rq <= res.lambda_ball + 1e-6)
             # rigidity: equality flags fire exactly for ball-shaped bodies
@@ -191,7 +191,7 @@ def test_criterion_10_thm2_quantitative(corpus, transplants):
     for name, body in corpus:
         for beta in BETAS:
             res = transplants[(name, beta)]
-            report = thm2_verify(body, beta, transplant=res)
+            report = thm2_verify(res)
             ok = ok and report.overall
             cdv = report.extras["c_dV"]
             ok = ok and -1e-12 <= cdv < 1.0  # exact balls carry roundoff-scale dV
@@ -201,7 +201,7 @@ def test_criterion_10_thm2_quantitative(corpus, transplants):
     fem = solve_body(octant, -1.0, 4)
     e4 = calibrated_ball_error(4)
     res = transplants[("octant", -1.0)]
-    report = thm2_verify(octant, -1.0, transplant=res, fem=fem)
+    report = thm2_verify(res, fem=fem)
     ratio = report.extras["fem_ratio"]
     ok = ok and ratio >= report.extras["c_dV"] - 2 * e4
     _verdict(10, "quantitative stability bound on corpus + octant FEM ratio", ok)

@@ -34,7 +34,7 @@ from robinsphere.errors import (
     EmptyInteriorError,
     GeometryError,
 )
-from robinsphere.parallel import transplant_rayleigh
+from robinsphere.parallel import perimeter_profile, transplant_rayleigh
 from robinsphere.spaceform import radius_from_perimeter
 
 SQ3 = math.sqrt(3.0)
@@ -780,8 +780,8 @@ def shared_grid(body):
 def assert_same_ball_and_quotient(changed, body, rot=np.eye(3)):
     """lambda_ball and the transplanted quotient rq at K = 512 agree to 1e-12; the
     inradius, the incenter (mapped by ``rot``) and the area agree to 1e-13."""
-    a = transplant_rayleigh(changed, -1.0, K=512)
-    b = transplant_rayleigh(body, -1.0, K=512)
+    a = transplant_rayleigh(changed, -1.0, perimeter_profile(changed, 512))
+    b = transplant_rayleigh(body, -1.0, perimeter_profile(body, 512))
     assert a.lambda_ball == pytest.approx(b.lambda_ball, rel=1e-12)
     assert a.rq == pytest.approx(b.rq, rel=1e-12)
     center_a, rin_a = incenter_and_inradius(changed)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import time
 from collections import Counter
 
@@ -272,6 +273,72 @@ def test_parallel_jobs_match_serial(tmp_path):
         assert code == 0
         outs.append(out_csv.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    ("cpus", "bodies", "workers"),
+    [(8, 2, [2]), (2, 3, [2]), (1, 2, []), (None, 2, [])],
+)
+def test_jobs_capped_at_bodies_and_cpus(monkeypatch, cpus, bodies, workers):
+    """The pool forks all its workers at the first task, so --jobs 5000 asks
+    for no more workers than there are bodies or CPUs, and one worker runs
+    serially. The fake pool maps in this process and starts none."""
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code = main(["verify-thm1", "--random", "1", str(bodies), "--betas", "-1", "--k", "64",
+                 "--jobs", "5000"])
+    assert code == 0
+    assert asked == workers
+
+
+# a CSV residual column and the check it reports, by description
+_RESIDUAL_COLUMNS = {
+    "res_volume": "|body| <= |ball| (isoperimetric, equal perimeter)",
+    "res_inradius": "inradius(body) <= ball radius",
+    "res_profile": "P(body_t) <= P(ball_t) + tol_grid at every node",
+    "res_numerator": "gradient term: int phi'^2 P(body_t) <= int phi'^2 P(ball_t)",
+    "res_quotient": "transplanted quotient <= ball eigenvalue + tol",
+    "res_thm2": "rq <= lambda_ball * (1 - c dV)^(-1) + tol",
+}
+
+
+@pytest.mark.parametrize("fixture", ["octant", "cap:0.85"])
+def test_csv_residual_columns_match_their_checks(tmp_path, fixture):
+    reports, rows = {}, []
+    for which in ("thm1", "thm2"):
+        out_json, out_csv = tmp_path / f"{which}.json", tmp_path / f"{which}.csv"
+        code = main([f"verify-{which}", "--fixture", fixture, "--betas", "-1", "--k", "1024",
+                     "--json", str(out_json), "--csv", str(out_csv)])
+        assert code == 0
+        (reports[which],) = json.loads(out_json.read_text())["reports"]
+        rows.append(out_csv.read_text())
+    assert rows[0] == rows[1]  # both commands tabulate the same row
+    header, row = (line.split(",") for line in rows[0].splitlines())
+    row = dict(zip(header, row))
+    residuals = {
+        c["description"]: c["residual"] for r in reports.values() for c in r["checks"]
+    }
+    # every check has its column except thm2's guard
+    assert set(residuals) - set(_RESIDUAL_COLUMNS.values()) == {"guard: 0 <= c dV < 1"}
+    for column, description in _RESIDUAL_COLUMNS.items():
+        assert float(row[column]) == residuals[description], column
+    assert row["pass_thm1"] == str(reports["thm1"]["overall"])
+    assert row["pass_thm2"] == str(reports["thm2"]["overall"])
 
 
 def test_exit_code_on_verification_failure(capsys):

@@ -98,11 +98,11 @@ def test_monotone_refinement_differences(octant):
 
 
 def test_sandwich_on_corpus(small_corpus):
-    from robinsphere.parallel import transplant_rayleigh
+    from robinsphere.parallel import perimeter_profile, transplant_rayleigh
 
     e3 = calibrated_ball_error(3)
     for name, body in small_corpus:
-        rq = transplant_rayleigh(body, -1.0, K=1024).rq
+        rq = transplant_rayleigh(body, -1.0, perimeter_profile(body, 1024)).rq
         res = solve_body(body, -1.0, 3)
         eps = 2.0 * e3 * abs(res.lambda_h)
         assert res.lambda_h - eps <= rq, name

@@ -169,13 +169,13 @@ def test_comparison_rejects_bad_initial_value():
 
 def test_transplant_ball_equality():
     body = cap_fixture(0.85)
-    res = transplant_rayleigh(body, -1.0, K=4096)
+    res = transplant_rayleigh(body, -1.0, perimeter_profile(body, 4096))
     assert res.rq == pytest.approx(res.lambda_ball, abs=1e-6)
     assert res.boundary_term_body == pytest.approx(res.boundary_term_ball, abs=1e-9)
 
 
 def test_transplant_octant_upper_bound(octant):
-    res = transplant_rayleigh(octant, -1.0, K=2048)
+    res = transplant_rayleigh(octant, -1.0, perimeter_profile(octant, 2048))
     assert res.rq <= res.lambda_ball + 1e-6
     assert res.rq < res.lambda_ball - 0.1  # strict gap for a genuinely non-ball body
 
@@ -185,15 +185,15 @@ def test_transplant_quotient_dominates_fem_estimate(octant):
     # eigenvalue; the FEM value approximates that eigenvalue from nearby
     from robinsphere.fem import calibrated_ball_error, solve_body
 
-    res = transplant_rayleigh(octant, -1.0, K=2048)
+    res = transplant_rayleigh(octant, -1.0, perimeter_profile(octant, 2048))
     fem = solve_body(octant, -1.0, 3)
     tol = 2 * calibrated_ball_error(3) * abs(fem.lambda_h)
     assert res.rq >= fem.lambda_h - tol
 
 
 def test_transplant_grid_refinement_stability(octant):
-    r1 = transplant_rayleigh(octant, -1.0, K=2048)
-    r2 = transplant_rayleigh(octant, -1.0, K=4096)
+    r1 = transplant_rayleigh(octant, -1.0, perimeter_profile(octant, 2048))
+    r2 = transplant_rayleigh(octant, -1.0, perimeter_profile(octant, 4096))
     assert abs(r2.rq - r1.rq) / abs(r1.rq) < 1e-6
 
 
@@ -230,13 +230,14 @@ def test_cli_import_loads_no_scipy_integrate_or_optimize():
 
 
 def test_thm1_requires_negative_beta(octant):
+    # the pipeline starts at the transplant, where beta enters
     with pytest.raises(GeometryError):
-        thm1_verify(octant, 0.5)
+        transplant_rayleigh(octant, 0.5, perimeter_profile(octant, 64))
 
 
 def test_thm1_ball_equalities():
     body = cap_fixture(0.85)
-    report = thm1_verify(body, -1.0)
+    report = thm1_verify(transplant_rayleigh(body, -1.0, perimeter_profile(body, 4096)))
     assert report.overall
     assert report.extras["equality_case"]
     assert all(c.equality for c in report.checks)
@@ -245,8 +246,8 @@ def test_thm1_ball_equalities():
 def test_thm1_ball_equality_rigidity_tight():
     # finer profile grid drives every residual below 1e-8
     body = cap_fixture(0.8)
-    res = transplant_rayleigh(body, -1.0, K=32768)
-    report = thm1_verify(body, -1.0, transplant=res)
+    res = transplant_rayleigh(body, -1.0, perimeter_profile(body, 32768))
+    report = thm1_verify(res)
     assert report.overall
     for check in report.checks:
         assert abs(check.lhs - check.rhs) <= 1e-8
@@ -254,7 +255,7 @@ def test_thm1_ball_equality_rigidity_tight():
 
 @pytest.mark.parametrize("beta", [-0.5, -1.0, -5.0])
 def test_thm1_octant(octant, beta):
-    report = thm1_verify(octant, beta, K=2048)
+    report = thm1_verify(transplant_rayleigh(octant, beta, perimeter_profile(octant, 2048)))
     assert report.overall
     assert not report.extras["equality_case"]
     # how lambda_ball was found: the Legendre-Galerkin basis size and the
@@ -264,16 +265,19 @@ def test_thm1_octant(octant, beta):
     assert extras["lambda_ball_error_estimate"] <= 1e-10 * (1.0 + abs(extras["lambda_ball"]))
     removed = {"lambda_ball_shoots", "lambda_ball_spectral", "lambda_ball_discretization_gap"}
     assert not removed & set(extras)
-    assert thm1_verify(octant, beta, K=2048).to_json() == report.to_json()
+    again = thm1_verify(transplant_rayleigh(octant, beta, perimeter_profile(octant, 2048)))
+    assert again.to_json() == report.to_json()
 
 
 def test_thm1_records_profile_piece_starts(octant):
     """The first t of each profile piece: 0 alone for the octant, where no arc
     vanishes before the inradius; one more start per arc event on body 30."""
-    assert thm1_verify(octant, -1.0, K=512).extras["profile_piece_starts"] == [0.0]
+    octant_res = transplant_rayleigh(octant, -1.0, perimeter_profile(octant, 512))
+    assert thm1_verify(octant_res).extras["profile_piece_starts"] == [0.0]
     body = corpus_body(30)[1]
     prof = perimeter_profile(body, K=512)
-    starts = thm1_verify(body, -1.0, K=512).extras["profile_piece_starts"]
+    res = transplant_rayleigh(body, -1.0, perimeter_profile(body, 512))
+    starts = thm1_verify(res).extras["profile_piece_starts"]
     assert starts == prof.piece_starts and len(starts) == 3 and starts[0] == 0.0
     assert set(starts) <= set(prof.ts.tolist())
 
@@ -283,7 +287,7 @@ def test_gradient_check_strictness_is_scale_free(octant, scale):
     # the gradient terms scale with the square of psi's normalisation; a body
     # term 1e-9 above the ball's must fail at every scale
     beta = -5.0
-    res = transplant_rayleigh(octant, beta, K=512)
+    res = transplant_rayleigh(octant, beta, perimeter_profile(octant, 512))
     grad_ball = res.numerator_ball - beta * res.boundary_term_ball
 
     def gradient_check(excess):
@@ -295,7 +299,7 @@ def test_gradient_check_strictness_is_scale_free(octant, scale):
             boundary_term_body=boundary_body,
             numerator_body=scale * grad_ball * (1.0 + excess) + beta * boundary_body,
         )
-        return thm1_verify(octant, beta, transplant=moved).checks[3]
+        return thm1_verify(moved).checks[3]
 
     equal = gradient_check(0.0)
     assert equal.passed and equal.equality
@@ -304,15 +308,15 @@ def test_gradient_check_strictness_is_scale_free(octant, scale):
 
 def test_thm2_ball_reduces_to_thm1():
     body = cap_fixture(0.85)
-    res = transplant_rayleigh(body, -1.0)
-    report = thm2_verify(body, -1.0, transplant=res)
+    res = transplant_rayleigh(body, -1.0, perimeter_profile(body, 4096))
+    report = thm2_verify(res)
     assert report.overall
     assert report.extras["c_dV"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_thm2_octant_margin(octant):
-    res = transplant_rayleigh(octant, -1.0, K=2048)
-    report = thm2_verify(octant, -1.0, transplant=res)
+    res = transplant_rayleigh(octant, -1.0, perimeter_profile(octant, 2048))
+    report = thm2_verify(res)
     assert report.overall
     assert report.extras["c_dV"] > 0.1
     assert 0.0 <= report.extras["c_dV"] < 1.0
@@ -321,15 +325,15 @@ def test_thm2_octant_margin(octant):
 def test_thm2_fem_cross_check(octant):
     from robinsphere.fem import solve_body
 
-    res = transplant_rayleigh(octant, -1.0, K=2048)
+    res = transplant_rayleigh(octant, -1.0, perimeter_profile(octant, 2048))
     fem = solve_body(octant, -1.0, 3)
-    report = thm2_verify(octant, -1.0, transplant=res, fem=fem)
+    report = thm2_verify(res, fem=fem)
     assert report.overall
     assert report.extras["fem_ratio"] >= report.extras["c_dV"] - 2 * 0.02
 
 
 def test_profile_domination_on_corpus(small_corpus):
     for name, body in small_corpus:
-        res = transplant_rayleigh(body, -1.0, K=1024)
-        report = thm1_verify(body, -1.0, transplant=res)
+        res = transplant_rayleigh(body, -1.0, perimeter_profile(body, 1024))
+        report = thm1_verify(res)
         assert report.overall, f"{name}: {[c.description for c in report.checks if not c.passed]}"
