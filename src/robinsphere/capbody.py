@@ -200,13 +200,13 @@ def contains(body: CapBody, p, tol: float = 1e-12) -> bool:
     return bool(np.all(body.poles @ p >= np.cos(body.radii) - tol))
 
 
-def inner_parallel(body: CapBody, t: float, inradius_hint: float | None = None) -> CapBody:
+def inner_parallel(body: CapBody, t: float) -> CapBody:
     """Inner parallel set: the same poles with every radius reduced by t."""
     if t < 0.0:
         raise GeometryError(f"parallel distance must be nonnegative, got {t}")
     if t == 0.0:
         return body
-    rin = inradius(body) if inradius_hint is None else inradius_hint
+    rin = inradius(body)
     if t >= rin:
         raise EmptyInteriorError(
             f"inner parallel at t = {t} >= inradius {rin} has empty interior"
@@ -228,7 +228,6 @@ class BoundaryArc:
     start_source: int | None  # constraint active at the start vertex
     end_source: int | None
     length: float = 0.0
-    geodesic_curvature: float = 0.0
 
     @property
     def width(self) -> float:
@@ -409,9 +408,8 @@ def _raw_arcs(tab: _PoleTables, radii: np.ndarray):
     raw: list[BoundaryArc] = []
     for i in range(tab.k):
         srho = math.sin(radii[i])
-        kg = math.cos(radii[i]) / srho
         if blk.full[0, i]:
-            raw.append(BoundaryArc(i, 0.0, TWO_PI, None, None, srho * TWO_PI, kg))
+            raw.append(BoundaryArc(i, 0.0, TWO_PI, None, None, srho * TWO_PI))
             continue
         m = int(blk.counts[0, i])
         ok = blk.seg_ok[0, i, :m].tolist()
@@ -431,7 +429,7 @@ def _raw_arcs(tab: _PoleTables, radii: np.ndarray):
                 if te <= ts:
                     te += TWO_PI
                 raw.append(
-                    BoundaryArc(i, ts, te, sources[run_start], sources[end], srho * (te - ts), kg)
+                    BoundaryArc(i, ts, te, sources[run_start], sources[end], srho * (te - ts))
                 )
                 run_start = None
     return raw, blk

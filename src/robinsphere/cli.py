@@ -132,13 +132,9 @@ def _thm_for_body(item, betas, K, fem_level):
     body.witness  # a body without a hemisphere witness is an input error
     out = []
     profile = perimeter_profile(body, K)
-    fem_results = {}
-    if fem_level is not None:
-        for beta in betas:
-            fem_results[beta] = fem.solve_body(body, beta, fem_level)
     for beta in betas:
         res = transplant_rayleigh(body, beta, profile)
-        fem_res = fem_results.get(beta)
+        fem_res = fem.solve_body(body, beta, fem_level) if fem_level is not None else None
         r1 = thm1_verify(res)
         r1.name = f"thm1[{name}, beta={beta}]"
         r2 = thm2_verify(res, fem=fem_res)
@@ -213,8 +209,8 @@ def cmd_steiner_check(args) -> int:
         h = 1e-6
         worst = 0.0
         for s in (0.05, 0.1, 0.2, 0.4):
-            dv = (steiner_volume(body, s + h, m) - steiner_volume(body, s - h, m)) / (2 * h)
-            bd = steiner_boundary(body, s, m)
+            dv = (steiner_volume(m, s + h) - steiner_volume(m, s - h)) / (2 * h)
+            bd = steiner_boundary(m, s)
             worst = max(worst, abs(dv - bd) / max(1.0, abs(bd)))
         rep.add(
             description="d/ds volume(outer s) matches boundary(outer s) by finite differences",
@@ -225,12 +221,10 @@ def cmd_steiner_check(args) -> int:
         )
         rep.add(
             description="steiner at s=0 returns (area, perimeter)",
-            lhs=abs(steiner_volume(body, 0.0, m) - m.phi2)
-            + abs(steiner_boundary(body, 0.0, m) - m.phi1),
+            lhs=abs(steiner_volume(m, 0.0) - m.phi2) + abs(steiner_boundary(m, 0.0) - m.phi1),
             rhs=0.0,
             residual=0.0,
-            passed=steiner_volume(body, 0.0, m) == m.phi2
-            and steiner_boundary(body, 0.0, m) == m.phi1,
+            passed=steiner_volume(m, 0.0) == m.phi2 and steiner_boundary(m, 0.0) == m.phi1,
         )
         rep.extras.update({"phi0": m.phi0, "phi1": m.phi1, "phi2": m.phi2})
         reports.append(rep)
@@ -356,6 +350,8 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
         return ap.parse_args(argv)
     with open(known.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("command", ""), str):
+        raise GeometryError("config must be a JSON object whose 'command', if given, is a string")
     command = cfg.pop("command", None)
     if rest and not rest[0].startswith("-"):
         command = rest[0]

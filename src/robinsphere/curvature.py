@@ -5,7 +5,7 @@ For a convex body with circular-arc boundary the three totals are
     phi2 = area,
     phi1 = boundary length,
     phi0 = integral of geodesic curvature over the arcs plus the exterior
-           angles at corners,
+           angles at corners, which is 2 pi - area by Gauss-Bonnet,
 
 and outer parallel volumes/boundaries close exactly:
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from robinsphere.capbody import CapBody
+from robinsphere.capbody import TWO_PI, CapBody
 from robinsphere.errors import GeometryError
 from robinsphere.spaceform import HALF_PI, sigma
 
@@ -35,10 +35,8 @@ class CurvatureMeasures:
 
 
 def compute_measures(body: CapBody) -> CurvatureMeasures:
-    bs = body.structure
-    phi0 = sum(arc.geodesic_curvature * arc.length for arc in bs.arcs)
-    phi0 += sum(v.exterior_angle for v in bs.vertices)
-    return CurvatureMeasures(phi0=phi0, phi1=body.perimeter, phi2=body.area)
+    """phi0 by Gauss-Bonnet from the area, which sums the same arcs and corners."""
+    return CurvatureMeasures(phi0=TWO_PI - body.area, phi1=body.perimeter, phi2=body.area)
 
 
 def _check_reach_guard(s: float) -> None:
@@ -49,17 +47,15 @@ def _check_reach_guard(s: float) -> None:
         )
 
 
-def steiner_volume(body: CapBody, s: float, measures: CurvatureMeasures | None = None) -> float:
-    """Volume of the outer parallel set at distance s."""
+def steiner_volume(m: CurvatureMeasures, s: float) -> float:
+    """Volume of the outer parallel set at distance s of the body with measures m."""
     _check_reach_guard(s)
-    m = measures if measures is not None else compute_measures(body)
     return m.phi2 + math.sin(s) * m.phi1 + (1.0 - math.cos(s)) * m.phi0
 
 
-def steiner_boundary(body: CapBody, s: float, measures: CurvatureMeasures | None = None) -> float:
-    """Boundary measure of the outer parallel set at distance s."""
+def steiner_boundary(m: CurvatureMeasures, s: float) -> float:
+    """Boundary measure of the outer parallel set at distance s of the body with measures m."""
     _check_reach_guard(s)
-    m = measures if measures is not None else compute_measures(body)
     return math.cos(s) * m.phi1 + math.sin(s) * m.phi0
 
 

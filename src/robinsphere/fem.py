@@ -19,12 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from robinsphere import capbody
 from robinsphere.capbody import CapBody
 from robinsphere.errors import GeometryError, SolverError
+from robinsphere.radial import RobinBallProblem, first_eigenvalue
 
 _BASE_SPACING = 0.2
 _MIN_FULL_CIRCLE_POINTS = 16
@@ -74,7 +75,9 @@ def mesh_body(body: CapBody, level: int) -> GeodesicMesh:
 
     The level-0 fan samples every boundary arc endpoint-inclusive (corners
     are preserved exactly through refinement); ``level`` rounds of midpoint
-    subdivision follow.
+    subdivision follow. Triangles are positively oriented by construction:
+    the fan follows the counterclockwise boundary arcs (body on their left),
+    and subdivision keeps the orientation of each parent.
     """
     if not 0 <= level <= 6:
         raise GeometryError(f"refinement level must lie in [0, 6], got {level}")
@@ -121,14 +124,6 @@ def mesh_body(body: CapBody, level: int) -> GeodesicMesh:
         bedges = np.stack([bedges[:, 0], m, m, bedges[:, 1]], axis=1).reshape(-1, 2)
         caps = np.repeat(caps, 2)
         t0, t1 = np.stack([t0, tm], axis=1).ravel(), np.stack([tm, t1], axis=1).ravel()
-
-    # enforce positive orientation: det[p0, p1, p2] > 0
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    dets = np.einsum("ij,ij->i", p0, np.cross(p1, p2))
-    flip = dets < 0.0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
     # a corner of exterior angle ext has interior angle theta = pi - ext
     corner = min((math.cos(0.5 * v.exterior_angle) for v in bs.vertices), default=1.0)
@@ -187,7 +182,7 @@ def assemble_and_solve(mesh: GeodesicMesh, beta: float) -> DiscreteEigResult:
     negative-beta range used here.
     """
     K, M, B = _assemble(mesh)
-    A = (K + beta * B).tocsc()
+    A = K + beta * B
     total_area = float(M.sum())
     total_perim = float(mesh.boundary_lengths.sum())
 
@@ -195,17 +190,18 @@ def assemble_and_solve(mesh: GeodesicMesh, beta: float) -> DiscreteEigResult:
     norm_m = float(np.max(np.abs(M).sum(axis=1)))
 
     def iterate(sigma_shift: float):
-        lu = splu(csc_matrix(A - sigma_shift * M))
+        lu = splu(A - sigma_shift * M)
         x = np.ones(A.shape[0])
-        x = x / math.sqrt(float(x @ (M @ x)))
+        my = M @ (x / math.sqrt(float(x @ (M @ x))))
         for _ in range(_MAX_ITER):
-            y = lu.solve(M @ x)
+            # M y of this step is the right-hand side of the next
+            y = lu.solve(my)
             y = y / math.sqrt(float(y @ (M @ y)))
-            lam = float(y @ (A @ y))
-            r = A @ y - lam * (M @ y)
+            ay, my = A @ y, M @ y
+            lam = float(y @ ay)
+            r = ay - lam * my
             scale = (norm_a + abs(lam) * norm_m) * float(np.linalg.norm(y)) + 1e-300
             resid = float(np.linalg.norm(r)) / scale
-            x = y
             if resid <= _RESIDUAL_TOL:
                 return lam, resid
         raise SolverError("inverse iteration did not converge")
@@ -240,8 +236,6 @@ def calibrated_ball_error(level: int, beta: float = -1.0) -> float:
     This is the self-calibrated oracle tolerance: the only reference with a
     trusted independent value (the Legendre-Galerkin radial solver) is the ball.
     """
-    from robinsphere.radial import RobinBallProblem, first_eigenvalue
-
     pair = first_eigenvalue(RobinBallProblem(2, _CALIBRATION_RADIUS, beta))
     res = solve_body(capbody.cap_fixture(_CALIBRATION_RADIUS), beta, level)
     return abs(res.lambda_h - pair.lam) / abs(pair.lam)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,44 +119,61 @@ class NonconvexityWitness:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _cone_violation(delta: float, x: HalfSpacePoint) -> float:
-    return float(np.linalg.norm(x.xhat_array)) - (1.0 - math.sinh(delta) * x.xn)
+# Relative slack of d(p, v) + d(v, q) = d(p, q) for the violator v: about 4 eps
+# of rounding in each of the three distances. Over 600 delta in [5.5e-7, 354.19]
+# the excess is at most 5.1e-16; at delta = 1e-8 it is 0.32.
+_GEODESIC_TOL = 16.0 * sys.float_info.epsilon
+# hyp_distance multiplies two heights; the square of the lower one,
+# 0.5 / sinh(delta), must stay a normal float
+_MAX_DELTA = math.asinh(0.5 / math.sqrt(sys.float_info.min))
 
 
-def nonconvexity_witness(
-    delta: float, n: int = 2, scan: int = 2001
-) -> NonconvexityWitness:
+def nonconvexity_witness(delta: float, n: int = 2, scan: int = 2001) -> NonconvexityWitness:
     """Certified failure of convexity for the cone at depth delta.
 
     p is the apex-height boundary point on the axis, q the boundary point at
     half the apex height (recorded for reproducibility); the geodesic between
     them is scanned for the largest violation of the cone inequality. Both
-    endpoints are certified inside; a nonpositive margin would falsify the
-    construction and raises.
+    endpoints are certified inside.
+
+    The violator v is certified on the geodesic: d(p, v) + d(v, q) exceeds
+    L = d(p, q) by at most e = _GEODESIC_TOL L. Then v lies within
+    r = sqrt(e (2 L + e)) / 2 of the segment (the Euclidean ellipse bound;
+    hyperbolic triangles are thinner), so within v_n expm1(r) in the
+    Euclidean metric, and the cosh(delta)-Lipschitz violation must exceed
+    cosh(delta) v_n expm1(r). Rounding moves the points of near-vertical
+    geodesics sideways by about eps times the circle's radius, so delta
+    below about 5e-7 fails this certificate.
     """
-    if delta <= 0.0:
-        raise GeometryError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta <= _MAX_DELTA:
+        raise GeometryError(
+            f"delta must lie in (0, {_MAX_DELTA:.6g}], where the witness heights "
+            f"1/sinh(delta) stay in the float range; got {delta}"
+        )
     if n < 2:
         raise GeometryError(f"dimension must be >= 2, got {n}")
     sh = math.sinh(delta)
-    zero = [0.0] * (n - 1)
-    qhat = [0.0] * (n - 1)
-    qhat[0] = 0.5
-    p = HalfSpacePoint(tuple(zero), 1.0 / sh)
-    q = HalfSpacePoint(tuple(qhat), 0.5 / sh)
+    p = HalfSpacePoint((0.0,) * (n - 1), 1.0 / sh)
+    q = HalfSpacePoint((0.5,) + (0.0,) * (n - 2), 0.5 / sh)
     if not (cone_contains(delta, p) and cone_contains(delta, q)):
         raise GeometryError("witness endpoints fell outside the cone")
 
     best_s, best_v, best_pt = 0.0, -math.inf, p
     for s in np.linspace(0.0, 1.0, scan):
         g = geodesic_point(p, q, float(s))
-        v = _cone_violation(delta, g)
+        v = float(np.linalg.norm(g.xhat_array)) - (1.0 - sh * g.xn)
         if v > best_v:
             best_s, best_v, best_pt = float(s), v, g
-    if not best_v > 0.0:
+    length = hyp_distance(p, q)
+    excess = hyp_distance(p, best_pt) + hyp_distance(best_pt, q) - length
+    allowed = _GEODESIC_TOL * length
+    reach = 0.5 * math.sqrt(allowed * (2.0 * length + allowed))
+    uncertainty = math.cosh(delta) * best_pt.xn * math.expm1(reach)
+    if not (excess <= allowed and best_v > uncertainty):
         raise GeometryError(
-            f"no convexity violation found at delta = {delta}: "
-            "this contradicts the cone construction"
+            f"no certified violation at delta = {delta}: margin {best_v:.3e} against a "
+            f"position uncertainty of {uncertainty:.3e}, relative excess "
+            f"{excess / length:.3e} off the geodesic (allowed {_GEODESIC_TOL:.3e})"
         )
     return NonconvexityWitness(
         delta=delta, p=p, q=q, s_star=best_s, violator=best_pt, margin=best_v

@@ -15,7 +15,6 @@ eigenvalue comparisons:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +78,10 @@ def perimeter_profile(body: CapBody, K: int) -> PerimeterProfile:
     return PerimeterProfile(inradius=rin, ts=ts, ps=ps, piece_starts=ts[starts].tolist())
 
 
-def profile_ode_rhs(n: int, p: float) -> float:
-    """Right-hand side of the perimeter inequality; radicand clamped at 0."""
-    sn = sigma(n)
-    radicand = sn ** (2.0 / (n - 1)) * p ** (2.0 * (n - 2) / (n - 1)) - p * p
-    return (n - 1) * math.sqrt(max(radicand, 0.0))
+def profile_ode_rhs(n: int, p):
+    """Right-hand side of the perimeter inequality at p (float or array); radicand clamped at 0."""
+    radicand = sigma(n) ** (2.0 / (n - 1)) * p ** (2.0 * (n - 2) / (n - 1)) - p * p
+    return (n - 1) * np.sqrt(np.maximum(radicand, 0.0))
 
 
 def grid_tolerance(dt: float) -> float:
@@ -113,7 +111,7 @@ def ode_inequality_check(profile: PerimeterProfile) -> VerificationReport:
     tol = grid_tolerance(dt)
     lhs = -(ps[1:] - ps[:-1]) / dt
     mid = 0.5 * (ps[1:] + ps[:-1])
-    rhs = np.sqrt(np.maximum(sigma(2) ** 2.0 - mid * mid, 0.0))  # profile_ode_rhs(2, mid)
+    rhs = profile_ode_rhs(2, mid)
     residual = lhs - rhs
 
     flagged = np.nonzero(residual < -tol)[0]
@@ -221,8 +219,8 @@ class TransplantResult:
     body_area: float
     profile: PerimeterProfile
     eigenpair: RadialEigenpair
-    numerator_body: float
-    numerator_ball: float
+    gradient_body: float  # int phi'^2 P(body_t) dt
+    gradient_ball: float  # int phi'^2 P(ball_t) dt
     boundary_term_body: float
     boundary_term_ball: float
     u_min: float
@@ -258,16 +256,16 @@ def transplant_rayleigh(body: CapBody, beta: float, profile: PerimeterProfile) -
     boundary_term_body = phi0 * phi0 * P
     boundary_term_ball = phi0 * phi0 * ball_perimeter(2, R)
 
-    num_body = _simpson(dphi**2 * ps, ts) + beta * boundary_term_body
+    grad_body = _simpson(dphi**2 * ps, ts)
     den_body = _simpson(phi**2 * ps, ts)
     ball_ps = sigma(2) * np.sin(R - ts)
-    num_ball = _simpson(dphi**2 * ball_ps, ts) + beta * boundary_term_ball
+    grad_ball = _simpson(dphi**2 * ball_ps, ts)
 
     u_m, l2sq = u_min_and_l2(pair, problem)
 
     return TransplantResult(
         beta=beta,
-        rq=float(num_body / den_body),
+        rq=float((grad_body + beta * boundary_term_body) / den_body),
         lambda_ball=pair.lam,
         ball_radius=R,
         ball_volume=ball_volume(R),
@@ -275,8 +273,8 @@ def transplant_rayleigh(body: CapBody, beta: float, profile: PerimeterProfile) -
         body_area=float(A),
         profile=profile,
         eigenpair=pair,
-        numerator_body=num_body,
-        numerator_ball=num_ball,
+        gradient_body=grad_body,
+        gradient_ball=grad_ball,
         boundary_term_body=boundary_term_body,
         boundary_term_ball=boundary_term_ball,
         u_min=u_m,
@@ -334,15 +332,13 @@ def thm1_verify(res: TransplantResult) -> VerificationReport:
         equality=float(np.max(np.abs(prof_gap))) <= eq_tol,
     )
 
-    grad_body = res.numerator_body - beta * res.boundary_term_body
-    grad_ball = res.numerator_ball - beta * res.boundary_term_ball
     report.add(
         description="gradient term: int phi'^2 P(body_t) <= int phi'^2 P(ball_t)",
-        lhs=grad_body,
-        rhs=grad_ball,
-        residual=grad_ball - grad_body,
-        passed=grad_body <= grad_ball * (1.0 + _GRADIENT_TOL),
-        equality=abs(grad_ball - grad_body) <= _GRADIENT_TOL * grad_ball,
+        lhs=res.gradient_body,
+        rhs=res.gradient_ball,
+        residual=res.gradient_ball - res.gradient_body,
+        passed=res.gradient_body <= res.gradient_ball * (1.0 + _GRADIENT_TOL),
+        equality=abs(res.gradient_ball - res.gradient_body) <= _GRADIENT_TOL * res.gradient_ball,
     )
     report.add(
         description="transplanted quotient <= ball eigenvalue + tol",

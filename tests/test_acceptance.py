@@ -153,7 +153,7 @@ def test_criterion_7_steiner_monte_carlo(corpus):
             p_hat = float(np.mean(d <= s))
             est = 4 * math.pi * p_hat
             se = 4 * math.pi * math.sqrt(p_hat * (1 - p_hat) / len(pts))
-            ok = ok and abs(est - steiner_volume(body, s, m)) <= 3 * se
+            ok = ok and abs(est - steiner_volume(m, s)) <= 3 * se
     _verdict(7, "Steiner outer-parallel volumes match Monte Carlo within 3 SE", ok)
 
 

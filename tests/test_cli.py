@@ -262,6 +262,25 @@ def test_hyp_witness_invalid_delta(capsys):
     assert main(["hyp-witness", "--delta", "-0.5"]) == 2
 
 
+@pytest.mark.parametrize("delta", ["1e-9", "1e-8", "1000", "nan"])
+def test_hyp_witness_uncertified_delta_is_input_error(delta, capsys):
+    # below about 5e-7 the near-vertical geodesic loses its horizontal
+    # position to rounding, so the violator is not certified on it; 1000
+    # overflows sinh, and nan is not a depth; each message names delta
+    assert main(["hyp-witness", "--delta", delta]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "delta" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", "null", '"ball-eig"', '{"command": 5, "r": 1}'])
+def test_config_not_an_object_is_input_error(tmp_path, capsys, document):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(document)
+    assert main(["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config") and err.count("\n") == 1
+
+
 def test_parallel_jobs_match_serial(tmp_path):
     outs = []
     for jobs in ("1", "2"):

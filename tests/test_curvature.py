@@ -46,8 +46,8 @@ def test_measures_hemisphere():
 
 def test_steiner_at_zero(octant):
     m = compute_measures(octant)
-    assert steiner_volume(octant, 0.0, m) == m.phi2
-    assert steiner_boundary(octant, 0.0, m) == m.phi1
+    assert steiner_volume(m, 0.0) == m.phi2
+    assert steiner_boundary(m, 0.0) == m.phi1
 
 
 def test_steiner_ball_closes_exactly():
@@ -55,19 +55,19 @@ def test_steiner_ball_closes_exactly():
     body = cap_fixture(R)
     m = compute_measures(body)
     for s in (0.1, 0.35, 0.6):
-        assert steiner_volume(body, s, m) == pytest.approx(
+        assert steiner_volume(m, s) == pytest.approx(
             2 * math.pi * (1 - math.cos(R + s)), abs=1e-12
         )
-        assert steiner_boundary(body, s, m) == pytest.approx(
+        assert steiner_boundary(m, s) == pytest.approx(
             2 * math.pi * math.sin(R + s), abs=1e-12
         )
 
 
 def test_steiner_reach_guard(octant):
     with pytest.raises(GeometryError):
-        steiner_volume(octant, math.pi / 2)
+        steiner_volume(compute_measures(octant), math.pi / 2)
     with pytest.raises(GeometryError):
-        steiner_boundary(octant, -0.1)
+        steiner_boundary(compute_measures(octant), -0.1)
 
 
 def test_steiner_octant_against_monte_carlo(octant):
@@ -79,7 +79,7 @@ def test_steiner_octant_against_monte_carlo(octant):
     p_hat = float(np.mean(d <= s))
     est = 4 * math.pi * p_hat
     se = 4 * math.pi * math.sqrt(p_hat * (1 - p_hat) / len(pts))
-    assert abs(est - steiner_volume(octant, s, m)) <= 3 * se
+    assert abs(est - steiner_volume(m, s)) <= 3 * se
 
 
 def test_steiner_closure_finite_differences(octant, small_corpus):
@@ -88,15 +88,15 @@ def test_steiner_closure_finite_differences(octant, small_corpus):
     for body in bodies:
         m = compute_measures(body)
         for s in (0.05, 0.3, 1.0):
-            dv = (steiner_volume(body, s + h, m) - steiner_volume(body, s - h, m)) / (2 * h)
-            bd = steiner_boundary(body, s, m)
+            dv = (steiner_volume(m, s + h) - steiner_volume(m, s - h)) / (2 * h)
+            bd = steiner_boundary(m, s)
             assert dv == pytest.approx(bd, rel=1e-6)
 
 
 def test_boundary_derivative_at_zero_is_phi0(octant):
     m = compute_measures(octant)
     h = 1e-7
-    d0 = (steiner_boundary(octant, h, m) - steiner_boundary(octant, 0.0, m)) / h
+    d0 = (steiner_boundary(m, h) - steiner_boundary(m, 0.0)) / h
     assert d0 == pytest.approx(m.phi0, rel=1e-6)
 
 
@@ -123,9 +123,7 @@ def test_af_gap_decreases_under_shrinking(small_corpus):
     rin = inradius(body)
     ts = np.linspace(0.0, rin * 0.999, 24)
     gaps = [
-        alexandrov_fenchel_gap(
-            compute_measures(inner_parallel(body, float(t), inradius_hint=rin))
-        )
+        alexandrov_fenchel_gap(compute_measures(inner_parallel(body, float(t))))
         for t in ts
     ]
     for a, b in zip(gaps, gaps[1:]):

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from robinsphere.capbody import area, cap_fixture, contains, corpus_bodies, perimeter
+from robinsphere.capbody import (
+    area,
+    cap_fixture,
+    contains,
+    corpus_bodies,
+    corpus_body,
+    octant_fixture,
+    perimeter,
+)
 from robinsphere.errors import GeometryError
 from robinsphere.fem import (
     _assemble,
@@ -41,13 +49,23 @@ def test_mesh_vertices_inside_body(octant):
         assert all(contains(body, v, tol=1e-9) for v in mesh.vertices)
 
 
-def test_mesh_orientation_positive(octant):
-    mesh = mesh_body(octant, 1)
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    p1 = mesh.vertices[mesh.triangles[:, 1]]
-    p2 = mesh.vertices[mesh.triangles[:, 2]]
-    dets = np.einsum("ij,ij->i", p0, np.cross(p1, p2))
-    assert np.all(dets > 0)
+ORIENTATION_BODIES = {
+    "octant": octant_fixture(),
+    **{f"cap-{r:.4g}": cap_fixture(r) for r in (0.3, 1.0, math.pi / 2)},
+    **dict(corpus_body(seed) for seed in range(1, 13)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORIENTATION_BODIES))
+def test_mesh_orientation_positive(name):
+    # the fan follows the counterclockwise boundary and subdivision keeps
+    # each parent's orientation, so no triangle needs flipping
+    body = ORIENTATION_BODIES[name]
+    for level in range(5):
+        mesh = mesh_body(body, level)
+        p0, p1, p2 = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
+        dets = np.einsum("ij,ij->i", p0, np.cross(p1, p2))
+        assert np.all(dets > 0), level
 
 
 def test_boundary_mass_equals_perimeter(octant):
