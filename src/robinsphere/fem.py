@@ -10,6 +10,8 @@ The discrete problem is (K + beta B) x = lambda M x with the consistent mass
 M, the cotangent-free flat stiffness K, and the 1-D consistent boundary mass
 B built from exact arc lengths. The smallest eigenvalue is extracted by
 shifted inverse iteration with the shift placed safely below the spectrum.
+scipy.sparse is imported at the first assembly, so a process that solves no
+FEM problem never loads scipy.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
 
 from robinsphere import capbody
 from robinsphere.capbody import CapBody
@@ -137,8 +137,17 @@ def mesh_body(body: CapBody, level: int) -> GeodesicMesh:
     )
 
 
+def splu(a):
+    """SuperLU factorisation of the sparse matrix a."""
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(a)
+
+
 def _assemble(mesh: GeodesicMesh):
     """Flat-facet stiffness and consistent mass, plus the boundary mass."""
+    from scipy.sparse import coo_matrix
+
     v = mesh.vertices
     t = mesh.triangles
     n = len(v)

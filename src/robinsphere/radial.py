@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.linalg import eigh
 
 from robinsphere.errors import GeometryError, SolverError
 from robinsphere.spaceform import HALF_PI, sigma
@@ -54,6 +53,11 @@ _STEP_SIZE = 8
 _LAYER_SIZE = 4.0
 _TOL = 1e-12
 _SCATTER = 100.0
+# An accepted quotient whose rounding level exceeds this fraction of
+# max(1, |lambda|) comes from a pencil too ill-conditioned for the agreement
+# test to mean anything. Over n = 2, 3, R from 0.1 to pi/2 and beta from -600
+# to 1.6e16 and tan R the largest fraction was 1.6e-12.
+_MAX_ROUNDING = 1e-8
 # Past this size a solve takes about 10 ms; the inputs that need it have
 # |beta| R of several thousand.
 _MAX_SIZE = 256
@@ -182,6 +186,19 @@ def _radial_weights(basis: _Basis, R: float, n: int) -> np.ndarray:
     return basis.weights * np.sin(0.5 * R * (1.0 + basis.nodes)) ** (n - 1)
 
 
+def _extreme_vector(definite: np.ndarray, other: np.ndarray, lowest: bool) -> np.ndarray:
+    """Eigenvector of the lowest or highest eigenvalue of the pencil (other, definite).
+
+    The reduction of LAPACK's sygv: with definite = L L^T, the eigenvectors
+    are L^(-T) y for the eigenvectors y of the symmetric L^(-1) other L^(-T).
+    A ``definite`` that is not numerically positive definite raises
+    ``LinAlgError``.
+    """
+    inv = np.linalg.inv(np.linalg.cholesky(definite))
+    _, y = np.linalg.eigh(inv @ other @ inv.T)
+    return inv.T @ y[:, 0 if lowest else -1]
+
+
 def _galerkin(problem: RobinBallProblem, size: int) -> tuple[float, float, np.ndarray]:
     """Lowest eigenvalue of the pencil (a, m) on ``size`` basis functions.
 
@@ -202,7 +219,7 @@ def _galerkin(problem: RobinBallProblem, size: int) -> tuple[float, float, np.nd
     scale = 1.0
     if boundary <= 1.0:
         a[0, 0] = boundary
-        x = eigh(a, m, subset_by_index=[0, 0])[1][:, 0]
+        definite, other, lowest = m, a, True
     else:
         # a is positive definite: take 1 / (largest eigenvalue of (m, a)). The
         # boundary unknown is scaled by boundary^(-1/2), so that its entry of
@@ -211,7 +228,14 @@ def _galerkin(problem: RobinBallProblem, size: int) -> tuple[float, float, np.nd
         m[0, :] *= scale
         m[:, 0] *= scale
         a[0, 0] = 1.0
-        x = eigh(m, a, subset_by_index=[size - 1, size - 1])[1][:, 0]
+        definite, other, lowest = a, m, False
+    try:
+        x = _extreme_vector(definite, other, lowest)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"ball pencil at n = {n}, R = {R!r}, beta = {beta!r} on {size} basis "
+            f"functions is not definite: {exc}"
+        ) from None
     norm = x @ m @ x
     lam = (x @ a @ x) / norm
     ax = np.abs(x)
@@ -227,8 +251,10 @@ def first_eigenvalue(problem: RobinBallProblem) -> RadialEigenpair:
     Rayleigh quotients of two consecutive sizes agree to _TOL (1 + |lambda|)
     plus _SCATTER times the rounding level of the larger solve, which is
     then returned with that difference as its error estimate. A size past
-    _MAX_SIZE is a ``SolverError``. So is a sign change of psi beyond its
-    own error: the sum of the magnitudes of the changes of its Legendre
+    _MAX_SIZE is a ``SolverError``, and so are a pencil whose definite
+    matrix has no Cholesky factor and an accepted quotient whose rounding
+    level exceeds _MAX_ROUNDING max(1, |lambda|). So is a sign change of psi
+    beyond its own error: the sum of the magnitudes of the changes of its Legendre
     coefficients between the two sizes, plus sqrt(eps), the accuracy to
     which a quotient at rounding level fixes an eigenvector. At R = pi/2,
     beta = tan R, psi(R) is at rounding level. The coefficient term is needed
@@ -255,27 +281,34 @@ def first_eigenvalue(problem: RobinBallProblem) -> RadialEigenpair:
         size += _STEP_SIZE
     else:
         raise SolverError(
-            f"lambda at R = {R!r}, beta = {beta!r} does not settle within "
+            f"lambda at n = {problem.dim}, R = {R!r}, beta = {beta!r} does not settle within "
             f"{_MAX_SIZE} basis functions"
         )
 
-    coef, previous_coef = _unit_max(coef), _unit_max(previous_coef)
-    slack = np.abs(coef - np.pad(previous_coef, (0, _STEP_SIZE))).sum()
-    lowest = min(np.min(_basis(size).vander @ coef), np.min(_ends(coef)))
+    if rounding > _MAX_ROUNDING * max(1.0, abs(lam)):
+        raise SolverError(
+            f"lambda at n = {problem.dim}, R = {R!r}, beta = {beta!r} on {size} basis "
+            f"functions is not resolved: rounding level {rounding!r}"
+        )
+    coef = _unit_max(coef)
+    change = coef.copy()
+    change[: size - _STEP_SIZE] -= _unit_max(previous_coef)
+    slack = np.abs(change).sum()
+    lowest = min(np.min(_basis(size).vander @ coef), *_ends(coef))
     if lowest < -(slack + math.sqrt(_EPS)):
         raise SolverError(f"computed eigenfunction changes sign: psi = {lowest!r}")
     return RadialEigenpair(lam=lam, radius=R, coef=coef, basis_size=size, error_estimate=estimate)
 
 
-def _ends(coef: np.ndarray) -> np.ndarray:
+def _ends(coef: np.ndarray) -> tuple[float, float]:
     """Values of a Legendre series at s = -1 and s = 1 (r = 0 and r = R)."""
-    return np.array([coef[::2].sum() - coef[1::2].sum(), coef.sum()])
+    return float(coef[::2].sum() - coef[1::2].sum()), float(coef.sum())
 
 
 def _unit_max(coef: np.ndarray) -> np.ndarray:
     """Legendre series scaled so that its end value of larger magnitude is 1."""
-    ends = _ends(coef)
-    return coef / ends[np.argmax(np.abs(ends))]
+    left, right = _ends(coef)
+    return coef / (left if abs(left) >= abs(right) else right)
 
 
 def u_min_and_l2(pair: RadialEigenpair, problem: RobinBallProblem) -> tuple[float, float]:
@@ -289,4 +322,4 @@ def u_min_and_l2(pair: RadialEigenpair, problem: RobinBallProblem) -> tuple[floa
     basis = _basis(pair.basis_size)
     weight = _radial_weights(basis, R, problem.dim)
     l2sq = sigma(problem.dim) * 0.5 * R * float(weight @ (basis.vander @ pair.coef) ** 2)
-    return float(np.min(_ends(pair.coef))), l2sq
+    return min(_ends(pair.coef)), l2sq

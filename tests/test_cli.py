@@ -1,11 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import robinsphere
 from robinsphere import capbody, cli
 from robinsphere.capbody import corpus_body, dumps_body, octant_fixture
 from robinsphere.cli import _load_bodies, build_parser, main, parse_beta
@@ -87,6 +91,13 @@ def test_ball_eig_past_basis_cap_is_input_error(capsys):
     assert main(["ball-eig", "--r", "1", "--beta=-1e6"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "basis functions" in capsys.readouterr().err
+
+
+def test_ball_eig_indefinite_pencil_is_input_error(capsys):
+    assert main(["ball-eig", "--n", "10", "--r", "1e-3", "--beta", "1.6e16"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ball pencil at n = 10")
+    assert "basis functions" in err[0]
 
 
 def test_ball_eig_invalid_radius(capsys):
@@ -461,3 +472,42 @@ def test_out_of_memory_is_input_error(monkeypatch, capsys):
     assert main(["verify-thm1", "--fixture", "octant", "--k", "64"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: out of memory: Unable to allocate 11.8 GiB"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["ball-eig", "--r", "1", "--beta", "-1"],
+        ["verify-thm1", "--random", "1", "2", "--betas=-1", "--k", "512"],
+        ["profile", "--random", "1", "2", "--k", "512"],
+        ["steiner-check", "--random", "1", "2"],
+        ["af-check", "--random", "1", "2"],
+        ["hyp-witness", "--delta", "0.1"],
+        ["verify-thm2", "--random", "1", "2", "--betas=-1", "--k", "512", "--fem-level", "2"],
+    ],
+    ids=lambda argv: argv[0] if argv else "import",
+)
+def test_scipy_loads_only_for_fem(argv, tmp_path):
+    # a fresh interpreter imports the CLI, runs argv if given, and lists the
+    # scipy modules it loaded; only a FEM solve needs scipy.sparse
+    code = (
+        "import contextlib, json, os, sys\n"
+        "from robinsphere import cli\n"
+        "if sys.argv[1:]:\n"
+        "    with open(os.devnull, 'w') as null, contextlib.redirect_stdout(null):\n"
+        "        assert cli.main(sys.argv[1:]) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"
+    )
+    # the child imports the package this process imported
+    src = str(Path(robinsphere.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, check=True, env=env, cwd=tmp_path,
+    )
+    loaded = json.loads(out.stdout)
+    if "--fem-level" in argv:
+        assert "scipy.sparse" in loaded
+    else:
+        assert loaded == []

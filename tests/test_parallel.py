@@ -1,15 +1,10 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-import robinsphere
 from robinsphere import capbody
 from robinsphere.capbody import (
     cap_fixture,
@@ -207,20 +202,6 @@ def test_simpson_equals_scipy_bit_for_bit(K):
     for x in grids:
         for y in (rng.standard_normal(K + 1), np.cos(x) ** 2 * x, 1e3 * np.exp(-5.0 * x)):
             assert _simpson(y, x) == float(simpson(y, x=x))
-
-
-def test_cli_import_loads_no_scipy_integrate_or_optimize():
-    code = (
-        "import sys, robinsphere.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
-    )
-    # the child imports the package this process imported
-    src = str(Path(robinsphere.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert out.stdout.strip() == "[]"
 
 
 # --- theorem pipelines -------------------------------------------------------

@@ -3,7 +3,9 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.optimize import brentq
+from scipy.special import jv
 
 from robinsphere import radial
 from robinsphere.cli import main
@@ -255,6 +257,58 @@ def test_sign_changing_eigenfunction_is_solver_error(monkeypatch):
     monkeypatch.setattr(radial, "_galerkin", lowered)
     with pytest.raises(SolverError, match="changes sign"):
         first_eigenvalue(RobinBallProblem(2, 1.0, -1.0))
+
+
+def test_unresolved_rounding_is_solver_error(monkeypatch):
+    # an ill-conditioned pencil inflates the rounding level, and with it the
+    # agreement test's allowance: a quotient at that level is not accepted
+    galerkin = radial._galerkin
+
+    def inflated(problem, size):
+        lam, rounding, coef = galerkin(problem, size)
+        return lam, 2e-8 * abs(lam), coef
+
+    monkeypatch.setattr(radial, "_galerkin", inflated)
+    with pytest.raises(SolverError, match="not resolved"):
+        first_eigenvalue(RobinBallProblem(2, 1.0, -5.0))
+
+
+def scipy_extreme_vector(definite, other, lowest):
+    """The former production solve: scipy's subset eigh of the pencil."""
+    k = 0 if lowest else len(definite) - 1
+    return eigh(other, definite, subset_by_index=[k, k])[1][:, 0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pencil_solve_matches_scipy_oracle(n, monkeypatch):
+    betas = [-600.0, -300.0, -100.0, -30.0, -10.0, -3.0, -1.0, -0.3, -0.1, 0.1, 0.3, 1.0, 3.0,
+             10.0, 100.0, 1e3, 1e4, 1e6, 1e8]
+    for r in np.linspace(0.1, math.pi / 2, 9):
+        for beta in betas + [math.tan(r)]:
+            problem = RobinBallProblem(n, float(r), beta)
+            pair = first_eigenvalue(problem)
+            with monkeypatch.context() as m:
+                m.setattr(radial, "_extreme_vector", scipy_extreme_vector)
+                oracle = first_eigenvalue(problem)
+            assert pair.basis_size == oracle.basis_size
+            assert abs(pair.lam - oracle.lam) <= 1e-12 * (1.0 + abs(oracle.lam))
+
+
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("r", [1e-6, 1e-3])
+@pytest.mark.parametrize("beta", [1e12, 1.6e16])
+def test_near_dirichlet_small_ball_is_right_or_solver_error(n, r, beta):
+    # the Robin eigenvalue approaches the Dirichlet one, j_(n/2-1,1)^2 / R^2
+    # up to O(R^2) and O(1 / (beta R)); scipy's subset solve returned values
+    # far above it with exit 0
+    nu = n / 2 - 1
+    j = brentq(lambda x: jv(nu, x), nu + 1.0, nu + 4.0)
+    try:
+        lam = first_eigenvalue(RobinBallProblem(n, r, beta)).lam
+    except SolverError as exc:
+        assert f"n = {n}, R = {r!r}, beta = {beta!r}" in str(exc)
+        return
+    assert lam == pytest.approx((j / r) ** 2, rel=1e-4)
 
 
 def test_error_estimate_bounds_larger_bases():
