@@ -243,7 +243,7 @@ def calibrated_ball_error(level: int, beta: float = -1.0) -> float:
     """Relative FEM error on the geodesic ball of radius _CALIBRATION_RADIUS.
 
     This is the self-calibrated oracle tolerance: the only reference with a
-    trusted independent value (the Legendre-Galerkin radial solver) is the ball.
+    trusted independent value (the hypergeometric radial series) is the ball.
     """
     pair = first_eigenvalue(RobinBallProblem(2, _CALIBRATION_RADIUS, beta))
     res = solve_body(capbody.cap_fixture(_CALIBRATION_RADIUS), beta, level)

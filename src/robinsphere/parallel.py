@@ -233,7 +233,7 @@ def transplant_rayleigh(body: CapBody, beta: float, profile: PerimeterProfile) -
     phi is the radial eigenfunction of the equal-perimeter geodesic ball,
     written as a function of the distance from the boundary, phi(t) =
     psi(R - t); phi and phi' are evaluated at the nodes of the body's
-    ``profile`` straight from its Legendre coefficients. The profile
+    ``profile`` straight from its series coefficients. The profile
     integrals use composite Simpson on the shared grid: the derivative
     integrand carries a boundary layer of amplitude ~ beta^2 for strongly
     negative beta, and the first-order endpoint error of the trapezoid rule
@@ -354,9 +354,9 @@ def thm1_verify(res: TransplantResult) -> VerificationReport:
             "beta": beta,
             "rq": res.rq,
             "lambda_ball": res.lambda_ball,
-            # how lambda_ball was found: the Legendre-Galerkin basis size and
-            # the change of lambda from the next smaller basis
-            "lambda_ball_basis_size": res.eigenpair.basis_size,
+            # how lambda_ball was found: the number of series terms, and the
+            # rounding bound of the sums plus the last Newton step
+            "lambda_ball_terms": res.eigenpair.terms,
             "lambda_ball_error_estimate": res.eigenpair.error_estimate,
             "ball_radius": res.ball_radius,
             "body_perimeter": res.body_perimeter,

@@ -1,34 +1,54 @@
 """First Robin eigenvalue of a geodesic ball in S^n.
 
-The radial eigenfunction psi of the ball of radius R solves the self-adjoint
-problem
+The radial eigenfunction psi of the ball of radius R solves
 
     -(sin^(n-1)(r) psi')' = lambda sin^(n-1)(r) psi  on (0, R),
     psi'(R) + beta psi(R) = 0,
 
-with the symmetric weak form
+and the solution regular at r = 0 is the zonal hypergeometric series
+psi = 2F1(a, b; n/2; z), z = sin^2(r/2), a + b = n - 1, ab = -lambda (DLMF
+15.2). With z_R = sin^2(R/2) its terms at r = R are t_0 = 1,
+t_(k+1) = t_k c_k, c_k = z_R (k (k + n - 1) - lambda) / ((k + 1)(k + n/2)),
+and psi(R) = S0 = sum t_k, tan(R/2) psi'(R) = S1 = sum k t_k. One pass also
+carries the lambda-derivatives d_k of the terms, d_(k+1) = c_k d_k - t_k
+z_R / ((k + 1)(k + n/2)), which never divides by k (k + n - 1) - lambda (0 at
+lambda = 2, the cos r eigenfunction of beta = tan R).
 
-    a(u, v) = int_0^R sin^(n-1)(r) u' v' dr + beta sin^(n-1)(R) u(R) v(R),
-    m(u, v) = int_0^R sin^(n-1)(r) u v dr.
+``first_eigenvalue`` finds lambda by Newton's method on
 
-The weight vanishes at r = 0, so psi'(0) = 0 is natural and needs no basis
-constraint. ``first_eigenvalue`` solves the pencil (a, m) once per basis size
-on a Legendre-Galerkin basis in s = 2 r / R - 1 with Gauss-Legendre
-quadrature, grows the basis until two sizes agree, and polishes the
-eigenvalue with the Rayleigh quotient of its eigenvector. ``shoot`` is the
-RK4 shooting residual of the same problem, kept as the independent test
-oracle; the solver never calls it.
+* g = psi'/psi (R) + beta for beta <= 0. Below the first Dirichlet
+  eigenvalue g is concave and decreasing in lambda (psi'/psi is a
+  Mittag-Leffler sum over the Dirichlet spectrum), so Newton from a point
+  right of the root falls to it monotonically. The start is
+  -(|beta| + (n - 1) cot(R)/2)^2, the boundary-layer value of psi'/psi, and
+  every iterate is clipped to -beta^2, an upper bound of lambda (psi'/psi
+  < sqrt(-lambda) there). Here every term is positive: the sums have no
+  cancellation.
+* h = psi(R) + psi'(R) / beta for beta > 0, which has no pole at the
+  Dirichlet eigenvalue. h is an entire function of order 1/2 in lambda
+  whose zeros are the positive Robin eigenvalues, so Newton from lambda = 0
+  rises to the smallest zero monotonically.
+
+Newton stops at the first iterate whose root function lies within its own
+rounding level, (number of terms) eps times the magnitude of its parts,
+and takes that iterate's step; ``error_estimate`` is the step plus the
+rounding level over the slope. The series stops past its largest term
+(|c_k| < 1) at the first term that changes S1 and D1 by less than eps/4
+of them: from there on the ratios settle toward z_R <= 1/2, so the tail
+adds a few times the last term, below the rounding level of the sums.
+For lambda < 0 the sums grow like e^(|beta| R); they are rescaled past
+1e250 (_RESCALE), and a series longer than _MAX_TERMS is refused.
+
+``shoot`` is the RK4 shooting residual of the same problem, kept as an
+independent test oracle; the solver never calls it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from robinsphere.errors import GeometryError, SolverError
 from robinsphere.spaceform import HALF_PI, sigma
@@ -36,32 +56,29 @@ from robinsphere.spaceform import HALF_PI, sigma
 # Taylor start offset of ``shoot`` past the cot(r) singularity; series error O(eps^4).
 _SERIES_EPS = 1e-6
 
-# Gauss-Legendre nodes beyond the basis size. The weight sin^(n-1) is entire
-# and R <= pi/2, so 24 more nodes integrate its products with the basis to
-# rounding.
-_EXTRA_NODES = 24
-# The basis starts at the smallest multiple of _STEP_SIZE that is at least
-# _LAYER_SIZE sqrt(|beta| R) (for beta < 0 psi has a boundary layer of width
-# 1 / |beta|), and grows by _STEP_SIZE until two consecutive sizes agree to
-# _TOL (1 + |lambda|) plus _SCATTER times the rounding level of the Rayleigh
-# quotient. Over n = 2, 3, R from 0.1 to pi/2 and beta from -600 to 1e16, that
-# start was at most one step short of the smallest size that passes, and at
-# most two steps over it. Over sizes 96 to 256, R from 0.3 to pi/2 and beta
-# from -400 to -1, the quotients scattered by 34 to 65 times their rounding
-# level.
-_STEP_SIZE = 8
-_LAYER_SIZE = 4.0
-_TOL = 1e-12
-_SCATTER = 100.0
-# An accepted quotient whose rounding level exceeds this fraction of
-# max(1, |lambda|) comes from a pencil too ill-conditioned for the agreement
-# test to mean anything. Over n = 2, 3, R from 0.1 to pi/2 and beta from -600
-# to 1.6e16 and tan R the largest fraction was 1.6e-12.
-_MAX_ROUNDING = 1e-8
-# Past this size a solve takes about 10 ms; the inputs that need it have
-# |beta| R of several thousand.
-_MAX_SIZE = 256
 _EPS = float(np.finfo(float).eps)
+# For lambda < 0 the sums grow like e^(|beta| R) and would overflow a double
+# once |beta| R passes about 700. Past 1e250 every running sum is divided
+# by 1e250. One term multiplies the last by at most |lambda| z_R, well
+# below the 1e58 of headroom left for any lambda the term limit admits.
+_RESCALE = 1e250
+# The largest term sits near k = sqrt(-lambda) tan(R/2), about |beta|
+# tan(R/2), and for |beta| >= 1e4 the series stops at 1.03 to 1.16 times
+# that. The limit admits |beta| tan(R/2) up to about 9e4, where a solve
+# takes 0.1 s and the rounding bound, terms times eps, is 2e-11 relative;
+# `ball-eig --r 1 --beta=-1e6` would need about 5.5e5 terms.
+_MAX_TERMS = 100_000
+# Newton converges monotonically, in at most 9 evaluations over n = 2, 3, 5,
+# R from 0.1 to pi/2 and beta from -600 to 1e8 and tan R, and n = 5, 10 at
+# R = 1e-6, 1e-3 and beta = 1e12, 1.6e16. More only happen when the root
+# function's noise exceeds its stated rounding level.
+_MAX_NEWTON = 30
+# For beta > 0 the terms alternate in sign up to k ~ sqrt(lambda), and for a
+# near-Dirichlet ball in high dimension they cancel: at n = 200, R = 0.5,
+# beta = 1e16 the rounding bound is a fifth of lambda. A root whose bound
+# exceeds sqrt(eps) (1 + |lambda|) has lost half its digits and is not
+# returned; over the grid above the largest bound is 1.2e-12 (1 + |lambda|).
+_HALF_DIGITS = math.sqrt(_EPS)
 
 
 @dataclass(frozen=True)
@@ -86,30 +103,48 @@ class RobinBallProblem:
 
 @dataclass(frozen=True)
 class RadialEigenpair:
-    """First eigenvalue and radial eigenfunction from the Legendre-Galerkin solve.
+    """First eigenvalue and radial eigenfunction from the hypergeometric series.
 
-    ``lam`` is the Rayleigh quotient of the lowest Galerkin eigenvector on
-    ``basis_size`` basis functions, and ``error_estimate`` its distance from
-    the same quotient on _STEP_SIZE fewer functions. psi is the Legendre
-    series ``coef`` in s = 2 r / R - 1. It is monotone, and it is normalized
-    so that the larger of psi(0) and psi(R) is 1. The Neumann case beta = 0
-    is lambda = 0 exactly with psi = 1, one basis function and estimate 0.
+    psi(r) = sum coef[k] u^k in u = sin^2(r/2) / sin^2(R/2), normalized so
+    that the larger of psi(0) = coef[0] and psi(R) = sum coef is 1; psi is
+    monotone. ``norm_sq`` is int_0^R psi^2 sin^(n-1) r dr, from the Lagrange
+    identity int_0^R psi^2 w dr = -w(R) (psi d_lambda psi' - psi' d_lambda psi)(R),
+    w = sin^(n-1) r. The Neumann case beta = 0 is lambda = 0 exactly with
+    psi = 1 and estimate 0.
     """
 
     lam: float
     radius: float
     coef: np.ndarray
-    basis_size: int
     error_estimate: float
+    norm_sq: float
+
+    @property
+    def terms(self) -> int:
+        """Number of series terms summed."""
+        return len(self.coef)
+
+    def _u(self, r) -> np.ndarray:
+        return np.sin(0.5 * np.asarray(r, dtype=float)) ** 2 / math.sin(0.5 * self.radius) ** 2
 
     def psi(self, r) -> np.ndarray:
         """psi at the radii r in [0, R]."""
-        return legendre.legval(2.0 * np.asarray(r) / self.radius - 1.0, self.coef)
+        return _horner(self.coef, self._u(r))
 
     def dpsi(self, r) -> np.ndarray:
-        """psi' at the radii r in [0, R]."""
-        s = 2.0 * np.asarray(r) / self.radius - 1.0
-        return legendre.legval(s, legendre.legder(self.coef)) * (2.0 / self.radius)
+        """psi' at the radii r in [0, R]: du/dr = sin(r) / (2 sin^2(R/2))."""
+        slopes = self.coef[1:] * np.arange(1, self.terms)
+        du = np.sin(np.asarray(r, dtype=float)) / (2.0 * math.sin(0.5 * self.radius) ** 2)
+        return _horner(slopes, self._u(r)) * du
+
+
+def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum coef[k] u^k; 0 for no coefficients."""
+    acc = np.zeros(np.shape(u))
+    for c in coef[::-1].tolist():
+        acc *= u
+        acc += c
+    return acc
 
 
 def shoot(problem: RobinBallProblem, lam: float, steps: int = 4096) -> float:
@@ -145,181 +180,116 @@ def shoot(problem: RobinBallProblem, lam: float, steps: int = 4096) -> float:
     return p + problem.beta * y
 
 
-class _Basis(NamedTuple):
-    nodes: np.ndarray  # Gauss-Legendre nodes in s
-    weights: np.ndarray
-    vander: np.ndarray  # Legendre polynomials at the nodes
-    values: np.ndarray  # basis functions at the nodes
-    slopes: np.ndarray  # their s-derivatives at the nodes
-    to_legendre: np.ndarray  # column k: Legendre coefficients of b_k
+def _series(problem: RobinBallProblem, z: float, lam: float):
+    """Sums of the series at r = R and their lambda-derivatives.
 
-
-# sizes are 1 (beta = 0) and multiples of _STEP_SIZE up to _MAX_SIZE
-@functools.lru_cache(maxsize=None)
-def _basis(size: int) -> _Basis:
-    """Gauss-Legendre rule and the first ``size`` basis functions on it, read-only.
-
-    b_0 = 1 and b_k(s) = sqrt(k - 1/2) int_s^1 P_(k-1)(t) dt for k >= 1, so
-    b_0 is the only function that is nonzero at s = 1 (r = R), and the
-    derivatives -sqrt(k - 1/2) P_(k-1) are orthonormal on [-1, 1], the
-    well-conditioned choice of Shen (SIAM J. Sci. Comput. 15, 1994).
+    Returns S0, S1, D0 = dS0/dlambda, D1 = dS1/dlambda and the terms t_k, all
+    scaled alike by a power of 1 / _RESCALE; terms recorded before a
+    rescale are scaled here to the final level.
     """
-    s, wq = legendre.leggauss(size + _EXTRA_NODES)
-    to_legendre = np.zeros((size, size))
-    to_legendre[0, 0] = 1.0
-    # int_s^1 P_j = (P_(j-1) - P_(j+1)) / (2j + 1), with P_(-1) read as P_0
-    j = np.arange(size - 1)
-    scale = np.sqrt(j + 0.5)
-    to_legendre[np.maximum(j - 1, 0), j + 1] += scale / (2 * j + 1)
-    to_legendre[j + 1, j + 1] -= scale / (2 * j + 1)
-    vander = legendre.legvander(s, size - 1)
-    slopes = np.zeros((len(s), size))
-    slopes[:, 1:] = -vander[:, :-1] * scale
-    basis = _Basis(s, wq, vander, vander @ to_legendre, slopes, to_legendre)
-    for array in basis:
-        array.setflags(write=False)
-    return basis
-
-
-def _radial_weights(basis: _Basis, R: float, n: int) -> np.ndarray:
-    """Gauss weights of the basis times sin^(n-1) r at its nodes, r = R (1 + s) / 2."""
-    return basis.weights * np.sin(0.5 * R * (1.0 + basis.nodes)) ** (n - 1)
-
-
-def _extreme_vector(definite: np.ndarray, other: np.ndarray, lowest: bool) -> np.ndarray:
-    """Eigenvector of the lowest or highest eigenvalue of the pencil (other, definite).
-
-    The reduction of LAPACK's sygv: with definite = L L^T, the eigenvectors
-    are L^(-T) y for the eigenvectors y of the symmetric L^(-1) other L^(-T).
-    A ``definite`` that is not numerically positive definite raises
-    ``LinAlgError``.
-    """
-    inv = np.linalg.inv(np.linalg.cholesky(definite))
-    _, y = np.linalg.eigh(inv @ other @ inv.T)
-    return inv.T @ y[:, 0 if lowest else -1]
-
-
-def _galerkin(problem: RobinBallProblem, size: int) -> tuple[float, float, np.ndarray]:
-    """Lowest eigenvalue of the pencil (a, m) on ``size`` basis functions.
-
-    Returns the Rayleigh quotient of the eigenvector, its rounding level and
-    the Legendre coefficients of psi. The quotient is accurate to rounding,
-    while the eigenvalue from the solver carries errors of order eps times
-    the largest eigenvalue. Its rounding level is eps (|x| |a| |x| + |lambda|
-    |x| |m| |x|) / (x m x), with |.| taken entrywise: the coefficients of a
-    steep boundary layer cancel, and it grows with |beta| R.
-    """
-    n, R, beta = problem.dim, problem.radius, problem.beta
-    basis = _basis(size)
-    w = _radial_weights(basis, R, n)
-    m = (0.5 * R) * (basis.values.T * w) @ basis.values
-    a = (2.0 / R) * (basis.slopes.T * w) @ basis.slopes
-    # b_0 = 1 has no slope, so the boundary term is all of a's first row
-    boundary = beta * math.sin(R) ** (n - 1)
-    scale = 1.0
-    if boundary <= 1.0:
-        a[0, 0] = boundary
-        definite, other, lowest = m, a, True
+    m, half, tiny = problem.dim - 1, 0.5 * problem.dim, 0.25 * _EPS
+    t, d = 1.0, 0.0
+    s0, s1, d0, d1 = 1.0, 0.0, 0.0, 0.0
+    terms = [1.0]
+    cuts = []
+    for k in range(1, _MAX_TERMS):
+        e = z / (k * (k - 1 + half))
+        c = e * ((k - 1) * (k - 1 + m) - lam)
+        d = c * d - e * t
+        t *= c
+        terms.append(t)
+        kt, kd = k * t, k * d
+        s0 += t
+        s1 += kt
+        d0 += d
+        d1 += kd
+        if abs(kt) <= tiny * abs(s1) and abs(kd) <= tiny * abs(d1) and abs(c) < 1.0:
+            break
+        if s0 > _RESCALE:
+            t, d, s0, s1, d0, d1 = (x / _RESCALE for x in (t, d, s0, s1, d0, d1))
+            cuts.append(len(terms))
     else:
-        # a is positive definite: take 1 / (largest eigenvalue of (m, a)). The
-        # boundary unknown is scaled by boundary^(-1/2), so that its entry of
-        # a is 1 and beta = tan(pi/2) ~ 1.6e16 does not swamp the factorisation.
-        scale = 1.0 / math.sqrt(boundary)
-        m[0, :] *= scale
-        m[:, 0] *= scale
-        a[0, 0] = 1.0
-        definite, other, lowest = a, m, False
-    try:
-        x = _extreme_vector(definite, other, lowest)
-    except np.linalg.LinAlgError as exc:
         raise SolverError(
-            f"ball pencil at n = {n}, R = {R!r}, beta = {beta!r} on {size} basis "
-            f"functions is not definite: {exc}"
-        ) from None
-    norm = x @ m @ x
-    lam = (x @ a @ x) / norm
-    ax = np.abs(x)
-    rounding = _EPS * (ax @ np.abs(a) @ ax + abs(lam) * (ax @ np.abs(m) @ ax)) / norm
-    x[0] *= scale
-    return float(lam), float(rounding), basis.to_legendre @ x
+            f"the series at n = {problem.dim}, R = {problem.radius!r}, beta = {problem.beta!r} "
+            f"needs more than {_MAX_TERMS} terms"
+        )
+    terms = np.array(terms)
+    for cut in cuts:
+        terms[:cut] /= _RESCALE
+    return s0, s1, d0, d1, terms
 
 
 def first_eigenvalue(problem: RobinBallProblem) -> RadialEigenpair:
     """Smallest Robin eigenvalue of the ball, with its radial eigenfunction.
 
-    The basis grows by _STEP_SIZE from a start set by |beta| R until the
-    Rayleigh quotients of two consecutive sizes agree to _TOL (1 + |lambda|)
-    plus _SCATTER times the rounding level of the larger solve, which is
-    then returned with that difference as its error estimate. A size past
-    _MAX_SIZE is a ``SolverError``, and so are a pencil whose definite
-    matrix has no Cholesky factor and an accepted quotient whose rounding
-    level exceeds _MAX_ROUNDING max(1, |lambda|). So is a sign change of psi
-    beyond its own error: the sum of the magnitudes of the changes of its Legendre
-    coefficients between the two sizes, plus sqrt(eps), the accuracy to
-    which a quotient at rounding level fixes an eigenvector. At R = pi/2,
-    beta = tan R, psi(R) is at rounding level. The coefficient term is needed
-    where psi(0) ~ e^(-|beta| R) lies below the eigenvector's accuracy: at
-    n = 3, R = 1, beta = -400 psi(0) comes out as -6.2e-7, with a coefficient
-    change of 1.4e-5.
+    Newton on g (beta <= 0) or h (beta > 0), see the module docstring. A
+    series past _MAX_TERMS terms (|beta| tan(R/2) above about 9e4), a
+    non-finite Newton step, more than _MAX_NEWTON evaluations and a
+    rounding bound above _HALF_DIGITS (1 + |lambda|) are a ``SolverError``,
+    and so is a radius whose sin^2(R/2) underflows.
     """
-    R, beta = problem.radius, problem.beta
-    if beta == 0.0:
-        return RadialEigenpair(
-            lam=0.0, radius=R, coef=np.ones(1), basis_size=1, error_estimate=0.0
-        )
-
-    layer = _LAYER_SIZE * math.sqrt(max(-beta, 0.0) * R)
-    size = _STEP_SIZE * max(1, math.ceil(layer / _STEP_SIZE))
-    previous = None
-    while size <= _MAX_SIZE:
-        lam, rounding, coef = _galerkin(problem, size)
-        if previous is not None:
-            estimate = abs(lam - previous)
-            if estimate <= _TOL * (1.0 + abs(lam)) + _SCATTER * rounding:
-                break
-        previous, previous_coef = lam, coef
-        size += _STEP_SIZE
+    n, R, beta = problem.dim, problem.radius, problem.beta
+    z = math.sin(0.5 * R) ** 2
+    if z == 0.0:
+        raise SolverError(f"radius {R!r} is too small: sin^2(R/2) underflows")
+    cot = 1.0 / math.tan(0.5 * R)
+    if beta > 0.0:
+        lam, top = 0.0, math.inf
+    else:
+        top = -beta * beta
+        layer = 0.5 * (n - 1) / math.tan(R) - beta
+        lam = min(-layer * layer, top)
+    for _ in range(_MAX_NEWTON):
+        s0, s1, d0, d1, terms = _series(problem, z, lam)
+        if beta > 0.0:
+            f = s0 + cot * s1 / beta
+            slope = d0 + cot * d1 / beta
+            size = np.abs(terms)
+            parts = size.sum() + cot * (size @ np.arange(len(size))) / beta
+            level = len(terms) * _EPS * float(parts)
+        else:
+            # every term is positive: the sums are their own magnitudes
+            ratio = s1 / s0
+            f = cot * ratio + beta
+            slope = cot * (d1 - ratio * d0) / s0
+            level = len(terms) * _EPS * (cot * ratio - beta)
+        step = -f / slope
+        if not math.isfinite(step):
+            raise SolverError(
+                f"lambda at n = {n}, R = {R!r}, beta = {beta!r}: the series gives the "
+                f"non-finite Newton step {step!r} at lambda = {lam!r}"
+            )
+        if abs(f) <= level:
+            break
+        lam = min(lam + step, top)
     else:
         raise SolverError(
-            f"lambda at n = {problem.dim}, R = {R!r}, beta = {beta!r} does not settle within "
-            f"{_MAX_SIZE} basis functions"
+            f"lambda at n = {n}, R = {R!r}, beta = {beta!r} does not settle within "
+            f"{_MAX_NEWTON} Newton steps"
         )
 
-    if rounding > _MAX_ROUNDING * max(1.0, abs(lam)):
+    rounding = level / abs(slope)
+    if rounding > _HALF_DIGITS * (1.0 + abs(lam)):
         raise SolverError(
-            f"lambda at n = {problem.dim}, R = {R!r}, beta = {beta!r} on {size} basis "
-            f"functions is not resolved: rounding level {rounding!r}"
+            f"lambda at n = {n}, R = {R!r}, beta = {beta!r} is not resolved: the series "
+            f"cancels to a rounding bound of {rounding!r}"
         )
-    coef = _unit_max(coef)
-    change = coef.copy()
-    change[: size - _STEP_SIZE] -= _unit_max(previous_coef)
-    slack = np.abs(change).sum()
-    lowest = min(np.min(_basis(size).vander @ coef), *_ends(coef))
-    if lowest < -(slack + math.sqrt(_EPS)):
-        raise SolverError(f"computed eigenfunction changes sign: psi = {lowest!r}")
-    return RadialEigenpair(lam=lam, radius=R, coef=coef, basis_size=size, error_estimate=estimate)
-
-
-def _ends(coef: np.ndarray) -> tuple[float, float]:
-    """Values of a Legendre series at s = -1 and s = 1 (r = 0 and r = R)."""
-    return float(coef[::2].sum() - coef[1::2].sum()), float(coef.sum())
-
-
-def _unit_max(coef: np.ndarray) -> np.ndarray:
-    """Legendre series scaled so that its end value of larger magnitude is 1."""
-    left, right = _ends(coef)
-    return coef / (left if abs(left) >= abs(right) else right)
+    # psi(0) = 1 is the larger end for beta > 0, psi(R) = S0 for beta <= 0
+    scale = 1.0 if beta > 0.0 else s0
+    wronskian = cot * ((s0 / scale) * (d1 / scale) - (s1 / scale) * (d0 / scale))
+    return RadialEigenpair(
+        lam=lam + step,
+        radius=R,
+        coef=terms / scale,
+        error_estimate=abs(step) + rounding,
+        norm_sq=-math.sin(R) ** (n - 1) * wronskian,
+    )
 
 
 def u_min_and_l2(pair: RadialEigenpair, problem: RobinBallProblem) -> tuple[float, float]:
     """Minimum of the eigenfunction and its squared L2 norm on the ball.
 
-    psi is monotone, so its minimum is at r = 0 or r = R. The norm
-    integrates psi^2 against the sphere's radial weight with the Gauss rule
-    of the basis.
+    psi is monotone, so its minimum is at r = 0 or r = R; the norm is
+    sigma_n times the radial integral ``norm_sq``.
     """
-    R = problem.radius
-    basis = _basis(pair.basis_size)
-    weight = _radial_weights(basis, R, problem.dim)
-    l2sq = sigma(problem.dim) * 0.5 * R * float(weight @ (basis.vander @ pair.coef) ** 2)
-    return min(_ends(pair.coef)), l2sq
+    return min(float(pair.coef[0]), float(pair.coef.sum())), sigma(problem.dim) * pair.norm_sq

@@ -236,12 +236,14 @@ def test_thm1_octant(octant, beta):
     report = thm1_verify(transplant_rayleigh(octant, beta, perimeter_profile(octant, 2048)))
     assert report.overall
     assert not report.extras["equality_case"]
-    # how lambda_ball was found: the Legendre-Galerkin basis size and the
-    # change of lambda from the next smaller basis
+    # how lambda_ball was found: the number of series terms (the largest
+    # term sits near |lambda|^(1/2) tan(R/2) < 3 on the octant's ball), and
+    # the rounding bound of the sums plus the last Newton step
     extras = report.extras
-    assert 16 <= extras["lambda_ball_basis_size"] <= 64
-    assert extras["lambda_ball_error_estimate"] <= 1e-10 * (1.0 + abs(extras["lambda_ball"]))
-    removed = {"lambda_ball_shoots", "lambda_ball_spectral", "lambda_ball_discretization_gap"}
+    assert 16 <= extras["lambda_ball_terms"] <= 40
+    assert extras["lambda_ball_error_estimate"] <= 1e-13 * (1.0 + abs(extras["lambda_ball"]))
+    removed = {"lambda_ball_shoots", "lambda_ball_spectral", "lambda_ball_discretization_gap",
+               "lambda_ball_basis_size"}
     assert not removed & set(extras)
     again = thm1_verify(transplant_rayleigh(octant, beta, perimeter_profile(octant, 2048)))
     assert again.to_json() == report.to_json()
