@@ -380,7 +380,8 @@ def thm2_verify(res: TransplantResult, fem: DiscreteEigResult | None = None) -> 
     When a finite element estimate of the body eigenvalue is supplied, the
     estimated ratio is compared against c dV minus twice the FEM error on the
     ball at the same level and beta (``calibrated_ball_error``), which the
-    report records as ``fem_rel_tol``.
+    report records as ``fem_rel_tol``, beside the solve's inverse-iteration
+    steps, factorisations and accepted shift.
     """
     beta = res.beta
     report = VerificationReport(name="thm2")
@@ -436,6 +437,9 @@ def thm2_verify(res: TransplantResult, fem: DiscreteEigResult | None = None) -> 
         report.extras["fem_lambda"] = fem.lambda_h
         report.extras["fem_ratio"] = ratio
         report.extras["fem_rel_tol"] = rel_tol
+        report.extras["fem_iterations"] = fem.iterations
+        report.extras["fem_factorisations"] = fem.factorisations
+        report.extras["fem_shift"] = fem.shift
     return report
 
 

@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from fem_oracle import coo_assemble
+from scipy.linalg import eigh
 
 from robinsphere.capbody import (
     area,
@@ -12,9 +15,14 @@ from robinsphere.capbody import (
     octant_fixture,
     perimeter,
 )
-from robinsphere.errors import GeometryError
+from robinsphere.errors import GeometryError, SolverError
 from robinsphere.fem import (
     _assemble,
+    _max_row_sum,
+    _pencil,
+    _shifted_iteration,
+    _solve_level,
+    assemble_and_solve,
     calibrated_ball_error,
     mesh_body,
     solve_body,
@@ -171,6 +179,121 @@ def test_mesh_topology(level, octant):
         assert mesh.level == level
 
 
-def test_corner_sine_is_exact(octant):
-    assert abs(mesh_body(octant, 0).corner_sine - math.cos(math.pi / 4)) <= 1e-15
-    assert mesh_body(cap_fixture(1.0), 1).corner_sine == 1.0
+CERTIFICATE_BODIES = {
+    "octant": octant_fixture(),
+    **{f"cap-{r:.4g}": cap_fixture(r) for r in (0.3, 1.0, 1.4)},
+    **dict(corpus_body(seed) for seed in range(1, 7)),
+}
+
+
+def _dense_spectrum(mesh, beta, count):
+    """The smallest eigenvalues of the oracle-assembled pencil, dense."""
+    K, M, B = coo_assemble(mesh)
+    return eigh((K + beta * B).toarray(), M.toarray(), subset_by_index=[0, count - 1])[0]
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATE_BODIES))
+def test_lambda_matches_dense_reference(name):
+    # nested iteration against LAPACK on the same mesh, assembled by the
+    # oracle; at beta = 0 (lambda = 0) the error is measured against 1
+    body = CERTIFICATE_BODIES[name]
+    for level in range(4):
+        mesh = mesh_body(body, level)
+        for beta in (0.0, -0.5, -1.0, -5.0, math.tan(1.0)):
+            res = assemble_and_solve(mesh, beta)
+            ref = _dense_spectrum(mesh, beta, 1)[0]
+            assert abs(res.lambda_h - ref) <= 1e-10 * max(1.0, abs(ref)), (level, beta)
+            assert res.certified and res.residual <= 1e-10
+            assert res.refinement_level == level
+            if level >= 2:
+                # one sparse level (2 or 3), factored at least once
+                assert res.shift is not None
+                assert res.factorisations >= 1 and res.iterations >= 1
+            else:
+                assert res.factorisations == res.iterations == 0 and res.shift is None
+
+
+def test_shift_inside_the_spectrum_is_refused():
+    # corpus body 3 has no symmetry, so the constant start vector carries
+    # every eigenvector
+    mesh = mesh_body(corpus_body(3)[1], 2)
+    beta = -1.0
+    lam1, lam2, lam3 = _dense_spectrum(mesh, beta, 3)
+    gap = lam2 - lam1
+    a, m = _pencil(mesh, beta)
+    norms = _max_row_sum(a), _max_row_sum(m)
+    ones = np.ones(a.shape[0])
+
+    # two eigenvalues below the shift: refused by the count, no step runs
+    above = lam2 + 0.5 * (lam3 - lam2)
+    nu, lam, _, steps, _ = _shifted_iteration(a, m, above, *norms, ones)
+    assert nu == 2 and steps == 0 and math.isnan(lam)
+    # one eigenvalue below, but the iteration converges to lambda_2 above it
+    near_second = lam2 - 0.1 * gap
+    nu, lam, resid, steps, _ = _shifted_iteration(a, m, near_second, *norms, ones)
+    assert nu == 1 and resid <= 1e-10
+    assert lam == pytest.approx(lam2, rel=1e-10) and lam > near_second
+
+    # each refusal multiplies the drop by 4 and refactors; the next shift is
+    # certified
+    for first, low in ((above, lam1 - 0.1 * gap), (near_second, lam1 + 0.3 * gap)):
+        drop = (first - low) / 3.0
+        lam, _, _, factorisations, sigma, _ = _solve_level(mesh, beta, first + drop, drop, ones)
+        assert factorisations == 2 and sigma == pytest.approx(low, abs=1e-12)
+        assert lam == pytest.approx(lam1, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", list(ORIENTATION_BODIES))
+def test_carried_edges_match_the_triangles(name):
+    body = ORIENTATION_BODIES[name]
+    mesh = mesh_body(body, 5)
+    for level in range(5, -1, -1):
+        assert mesh.level == level
+        n = len(mesh.vertices)
+        sides = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        keys = np.unique(sides[:, 0] * n + sides[:, 1])
+        edges = np.sort(mesh.edges, axis=1)
+        assert np.array_equal(np.sort(edges[:, 0] * n + edges[:, 1]), keys)
+        # side s of triangle k is edge triangle_edges[k, s]
+        carried = np.sort(mesh.edges[mesh.triangle_edges], axis=2).reshape(-1, 2)
+        assert np.array_equal(carried, sides)
+        assert np.array_equal(mesh.edges[mesh.boundary_edge_ids], mesh.boundary_edges)
+        coarser = mesh.coarser
+        if coarser is not None:
+            assert np.array_equal(mesh.vertices[: len(coarser.vertices)], coarser.vertices)
+        mesh = coarser
+    assert mesh is None
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_pattern_assembly_matches_coo_oracle(level):
+    for body in CERTIFICATE_BODIES.values():
+        mesh = mesh_body(body, level)
+        for new, old in zip(_assemble(mesh), coo_assemble(mesh)):
+            scale = abs(old).max()
+            assert abs(new - old).max() <= 1e-14 * scale
+
+
+STRONG_BETA_BODIES = {
+    "octant": octant_fixture(),
+    **{f"cap-{r:.4g}": cap_fixture(r) for r in (0.3, 1.0, 1.4)},
+    **dict(corpus_body(seed) for seed in range(1, 31)),
+}
+
+
+def test_strong_beta_is_certified_or_a_solver_error():
+    # at beta = -20 near-degenerate corner modes can stall the single-vector
+    # iteration; each solve must still end quickly in a certified value or a
+    # SolverError that names where it stopped
+    for name, body in STRONG_BETA_BODIES.items():
+        start = time.perf_counter()
+        try:
+            res = solve_body(body, -20.0, 2)
+        except SolverError as exc:
+            message = str(exc)
+            assert "level 2" in message and "beta -20.0" in message, message
+            assert "shift" in message and "nu" in message and "residual" in message
+        else:
+            assert res.certified and res.residual <= 1e-10, name
+            assert res.shift is not None and math.isfinite(res.lambda_h)
+        assert time.perf_counter() - start <= 5.0, name

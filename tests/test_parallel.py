@@ -308,6 +308,19 @@ def test_thm2_fem_cross_check(octant):
     assert report.extras["fem_ratio"] >= report.extras["c_dV"] - 2 * 0.02
 
 
+def test_thm2_records_fem_work(octant):
+    from robinsphere.fem import solve_body
+
+    res = transplant_rayleigh(octant, -1.0, perimeter_profile(octant, 1024))
+    fem = solve_body(octant, -1.0, 4)
+    extras = thm2_verify(res, fem=fem).extras
+    # levels 2 and 4 are factored at least once each; no wall-clock time
+    assert extras["fem_factorisations"] == fem.factorisations >= 2
+    assert extras["fem_iterations"] == fem.iterations >= 2
+    assert extras["fem_shift"] == fem.shift
+    assert not any("time" in key or key.endswith("_s") for key in extras)
+
+
 def test_profile_domination_on_corpus(small_corpus):
     for name, body in small_corpus:
         res = transplant_rayleigh(body, -1.0, perimeter_profile(body, 1024))
